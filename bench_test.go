@@ -34,7 +34,6 @@ import (
 	"perfiso/internal/experiments"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
-	"perfiso/internal/obs"
 	"perfiso/internal/report"
 	"perfiso/internal/shard"
 	"perfiso/internal/sim"
@@ -222,14 +221,13 @@ func BenchmarkReproAll(b *testing.B) {
 }
 
 // BenchmarkStatsOverhead prices the observability layer on the sim
-// hot path: the same single-node simulation with the default noop
-// tracker, with a recording tracker installed process-wide, with RNG
-// draw accounting on top, and with a live sim-domain tracer capturing
-// every span. The noop row is the cost every uninstrumented run pays —
-// each engine caches one enabled boolean (and the sim-trace hooks hide
-// behind one nil check), so it must stay within noise (≤2%) of the
-// pre-instrumentation baseline; scripts/bench.sh enforces that budget
-// against the committed BENCH_cluster.json under BENCH_STRICT=1.
+// hot path: the same single-node simulation as every run executes it
+// (the engine keeps its plain per-cell counts unconditionally), with
+// RNG draw accounting on, and with a live sim-domain tracer capturing
+// every span. The noop row is the cost every run pays — the sim-trace
+// hooks hide behind one nil check — so it must stay within noise (≤2%)
+// of the pre-instrumentation baseline; scripts/bench.sh enforces that
+// budget against the committed BENCH_cluster.json under BENCH_STRICT=1.
 func BenchmarkStatsOverhead(b *testing.B) {
 	qps := experiments.Loads[len(experiments.Loads)-1]
 	runPlain := func() experiments.SingleResult {
@@ -241,17 +239,9 @@ func BenchmarkStatsOverhead(b *testing.B) {
 		run   func() experiments.SingleResult
 	}{
 		{"noop", func() func() { return func() {} }, runPlain},
-		{"recording", func() func() {
-			obs.SetDefault(obs.NewRecording())
-			return func() { obs.SetDefault(nil) }
-		}, runPlain},
-		{"recording+rng", func() func() {
-			obs.SetDefault(obs.NewRecording())
+		{"rng", func() func() {
 			sim.SetRNGAccounting(true)
-			return func() {
-				sim.SetRNGAccounting(false)
-				obs.SetDefault(nil)
-			}
+			return func() { sim.SetRNGAccounting(false) }
 		}, runPlain},
 		{"simtrace", func() func() { return func() {} }, func() experiments.SingleResult {
 			return experiments.RunSingleTraced(qps, experiments.BullyHigh, perfiso.PolicyBlind(8), benchScale(), simtrace.New())

@@ -532,7 +532,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Trackers and tracers observe without participating: the seeded
+	// Counters and tracers observe without participating: the seeded
 	// simulations never read them, so summary.json, cells.csv and
 	// RESULTS.md come out byte-identical with or without
 	// -stats/-trace/-simtrace.
@@ -595,9 +595,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 2
 		}
-		// The recording tracker (when -stats) is already the process
-		// default, so the coordinator and workers pick it up without
-		// explicit plumbing.
+		// The recording (when -stats) is already the process default,
+		// so the coordinator, the workers and the cell harness pick it
+		// up without explicit plumbing.
 		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN, dispatch.Options{Tracer: tracer}, onCell)
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -998,8 +998,8 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 	defer stopPprof()
 
 	// -metrics-addr mirrors the coordinator's /metrics for one worker
-	// process: a private recording tracker observes every claim loop in
-	// this process, so the endpoint needs no cross-process state.
+	// process: a private recording counts every claim loop in this
+	// process, so the endpoint needs no cross-process state.
 	var workRec *obs.Recording
 	if *metricsAddr != "" {
 		workRec = obs.NewRecording()
@@ -1065,7 +1065,7 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 			OnUnit:      onUnit,
 		}
 		if workRec != nil {
-			workers[i].Tracker = workRec
+			workers[i].Stats = workRec
 		}
 		wg.Add(1)
 		go func(i int) {

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"perfiso/internal/cpumodel"
-	"perfiso/internal/obs"
 	"perfiso/internal/osmodel"
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
@@ -65,12 +64,8 @@ type BlindIsolation struct {
 
 	sampleEvery uint64
 
-	// trk observes grow/shrink/holdoff decisions; track caches
-	// trk.Enabled() so the disabled path is one branch. strace
-	// additionally records the decisions as sim-time instants when a
-	// cell runs under -simtrace (nil otherwise).
-	trk    obs.Tracker
-	track  bool
+	// strace records the decisions as sim-time instants when a cell
+	// runs under -simtrace (nil otherwise).
 	strace *simtrace.Tracer
 }
 
@@ -100,18 +95,7 @@ func NewBlindIsolation(os *osmodel.OS, job *osmodel.Job, cfg Config) *BlindIsola
 		harvestAlpha: alpha,
 	}
 	b.maxSec = b.secLimit(b.buffer)
-	b.SetTracker(obs.Default())
 	return b
-}
-
-// SetTracker replaces the isolator's tracker (nil restores the noop
-// tracker). Trackers are pure observers and never alter decisions.
-func (b *BlindIsolation) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
-	}
-	b.trk = t
-	b.track = t.Enabled()
 }
 
 // secLimit is the effective secondary-core ceiling for a given buffer:
@@ -205,17 +189,7 @@ func (b *BlindIsolation) Stop() { b.stopped = true }
 func (b *BlindIsolation) Disable() {
 	b.enabled = false
 	all := b.os.Cores()
-	if all > b.allocated {
-		b.Grows++
-		if b.track {
-			b.trk.BufferGrow(all)
-		}
-	} else if all < b.allocated {
-		b.Shrinks++
-		if b.track {
-			b.trk.BufferShrink(all)
-		}
-	}
+	b.record(all)
 	b.allocated = all
 	b.job.SetAffinity(cpumodel.AllCores(all))
 }
@@ -256,9 +230,7 @@ func (b *BlindIsolation) Poll() {
 				b.apply(b.allocated + 1)
 				b.lastGrow = now
 			} else if b.allocated < b.maxSec {
-				if b.track {
-					b.trk.HoldoffDeferred()
-				}
+				b.os.Engine().Tally.HoldoffDeferrals++
 				if b.strace != nil {
 					b.traceDecision("holdoff-deferred", b.allocated)
 				}
@@ -285,23 +257,29 @@ func (b *BlindIsolation) apply(cores int) {
 	if cores == b.allocated && b.Polls > 0 {
 		return
 	}
-	if cores < b.allocated {
-		b.Shrinks++
-		if b.track {
-			b.trk.BufferShrink(cores)
-		}
-		if b.strace != nil {
-			b.traceDecision("buffer-shrink", cores)
-		}
-	} else if cores > b.allocated {
-		b.Grows++
-		if b.track {
-			b.trk.BufferGrow(cores)
-		}
-		if b.strace != nil {
-			b.traceDecision("buffer-grow", cores)
-		}
-	}
+	b.record(cores)
 	b.allocated = cores
 	b.job.SetAffinity(cpumodel.TopCores(b.os.Cores(), cores))
+}
+
+// record counts a grant change from the current allocation to cores,
+// on the governor and on the cell's engine, and traces it. apply and
+// Disable both go through here.
+func (b *BlindIsolation) record(cores int) {
+	tally := &b.os.Engine().Tally
+	name := "buffer-grow"
+	switch {
+	case cores < b.allocated:
+		b.Shrinks++
+		tally.BufferShrinks++
+		name = "buffer-shrink"
+	case cores > b.allocated:
+		b.Grows++
+		tally.BufferGrows++
+	default:
+		return
+	}
+	if b.strace != nil {
+		b.traceDecision(name, cores)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 )
 
 func newBlindFixture(t *testing.T, buffer int) (*testNode, *BlindIsolation, *cpumodel.Process) {
@@ -295,6 +296,49 @@ func TestBlindDisableReconcilesBookkeeping(t *testing.T) {
 	n.runFor(2 * sim.Second)
 	if got := b.Allocated(); got != 40 {
 		t.Fatalf("allocation = %d after re-enable settling, want 40", got)
+	}
+}
+
+// TestBlindDisableTracedAndTallied: the kill switch's grant change is
+// a decision like any other, so it must reach the trace as a
+// buffer-grow instant and the cell's engine tally, not only the
+// governor's own counter.
+func TestBlindDisableTracedAndTallied(t *testing.T) {
+	n := newTestNode(t)
+	job := n.os.CreateJob("secondary")
+	job.Assign(n.startBully(48).Proc)
+	cfg := DefaultConfig()
+	b := NewBlindIsolation(n.os, job, cfg)
+	tr := simtrace.New()
+	b.SetSimTracer(tr)
+	b.Start(cfg.PollInterval)
+	n.runFor(1 * sim.Second)
+
+	b.Disable()
+	evs := tr.Events()
+	last := evs[len(evs)-1]
+	if last.Name != "buffer-grow" || len(last.Args) != 1 || last.Args[0].Value != "48" {
+		t.Fatalf("last traced decision after Disable = %s %+v, want buffer-grow allocated=48", last.Name, last.Args)
+	}
+	if last.TS != n.eng.Now() {
+		t.Fatalf("Disable traced at %v, want now %v", last.TS, n.eng.Now())
+	}
+	tally := n.eng.Counts().Tally
+	if tally.BufferGrows != b.Grows || tally.BufferShrinks != b.Shrinks {
+		t.Fatalf("engine tally grows/shrinks = %d/%d, governor = %d/%d",
+			tally.BufferGrows, tally.BufferShrinks, b.Grows, b.Shrinks)
+	}
+	grows, shrinks := 0, 0
+	for _, e := range evs {
+		switch e.Name {
+		case "buffer-grow":
+			grows++
+		case "buffer-shrink":
+			shrinks++
+		}
+	}
+	if uint64(grows) != b.Grows || uint64(shrinks) != b.Shrinks {
+		t.Fatalf("traced grows/shrinks = %d/%d, governor counted %d/%d", grows, shrinks, b.Grows, b.Shrinks)
 	}
 }
 

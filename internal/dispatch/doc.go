@@ -82,7 +82,7 @@
 // scrape always matches timing.json's dispatch section. Scheduling
 // events are logged through Options.Log as structured log/slog
 // records with worker/unit/lease fields, decisions are counted
-// through Options.Tracker (see internal/obs), and Options.Tracer
+// through Options.Stats (see internal/obs), and Options.Tracer
 // collects one trace span per completed unit for the run-wide
 // trace.jsonl.
 package dispatch

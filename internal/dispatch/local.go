@@ -62,7 +62,7 @@ func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern str
 			Name:        fmt.Sprintf("local-%d", i),
 			Runner:      runner,
 			OnUnit:      onUnit,
-			Tracker:     opts.Tracker,
+			Stats:       opts.Stats,
 		}
 		wg.Add(1)
 		go func() {

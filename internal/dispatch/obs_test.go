@@ -45,7 +45,7 @@ func TestDispatchObservability(t *testing.T) {
 	}
 	rec := obs.NewRecording()
 	tracer := obs.NewTraceBuffer()
-	c, err := NewCoordinator(runner.Manifest, Options{Tracker: rec, Tracer: tracer})
+	c, err := NewCoordinator(runner.Manifest, Options{Stats: rec, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDispatchObservability(t *testing.T) {
 			Name:        fmt.Sprintf("w-%d", i),
 			Runner:      runner,
 			Client:      srv.Client(),
-			Tracker:     rec,
+			Stats:       rec,
 		}
 		wg.Add(1)
 		go func() {
@@ -141,7 +141,7 @@ func TestDispatchObservability(t *testing.T) {
 		}
 	}
 
-	// The shared recording tracker agrees: one accepted upload (and so
+	// The shared recording agrees: one accepted upload (and so
 	// one latency sample) per unit, one Claim per granted lease.
 	s := rec.Snapshot()
 	if s.DispatchUploads != uint64(len(units)) {

@@ -4,6 +4,7 @@ import (
 	"perfiso/internal/cluster"
 	"perfiso/internal/core"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 )
 
 // Fig9Scale sizes the cluster experiment. The paper runs 200k queries
@@ -56,8 +57,7 @@ func fig9PerfIsoConfig() core.Config {
 
 // runFig9Scenario assembles one cluster, optionally under PerfIso, and
 // replays the trace.
-func runFig9Scenario(scale Fig9Scale, secondary cluster.Secondary, isolate bool) cluster.Result {
-	eng := sim.NewEngine()
+func runFig9Scenario(eng *sim.Engine, scale Fig9Scale, secondary cluster.Secondary, isolate bool) cluster.Result {
 	ccfg := cluster.ScaledConfig(scale.Columns)
 	ccfg.Seed = scale.Seed
 	c := cluster.New(eng, ccfg)
@@ -78,9 +78,15 @@ func runFig9Scenario(scale Fig9Scale, secondary cluster.Secondary, isolate bool)
 func fig9Cells(scale Fig9Scale) []Cell {
 	cost := float64(scale.Queries) * float64(scale.Columns)
 	return []Cell{
-		{Name: "standalone", Cost: cost, Run: func() any { return runFig9Scenario(scale, cluster.NoSecondary, false) }},
-		{Name: "cpu-bound", Cost: cost, Run: func() any { return runFig9Scenario(scale, cluster.CPUSecondary, true) }},
-		{Name: "disk-bound", Cost: cost, Run: func() any { return runFig9Scenario(scale, cluster.DiskSecondary, true) }},
+		{Name: "standalone", Cost: cost, Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+			return runFig9Scenario(eng, scale, cluster.NoSecondary, false)
+		}},
+		{Name: "cpu-bound", Cost: cost, Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+			return runFig9Scenario(eng, scale, cluster.CPUSecondary, true)
+		}},
+		{Name: "disk-bound", Cost: cost, Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+			return runFig9Scenario(eng, scale, cluster.DiskSecondary, true)
+		}},
 	}
 }
 
@@ -103,7 +109,7 @@ func RunFig9(scale Fig9Scale) Fig9 {
 // is cheap at full size — a fixed nominal cost keeps it scheduled
 // late and packed into any shard.
 func fig10Cells() []Cell {
-	return []Cell{{Name: "production-hour", Cost: 2000, Run: func() any { return RunFig10() }}}
+	return []Cell{{Name: "production-hour", Cost: 2000, Run: func(*sim.Engine, *simtrace.Tracer) any { return RunFig10() }}}
 }
 
 // RunFig10 executes the 650-machine production fluid model (Fig. 10).

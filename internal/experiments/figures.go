@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"perfiso/internal/isolation"
+	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
 )
 
@@ -20,10 +21,11 @@ var Loads = []float64{2000, 4000}
 // shard plan) executes each exactly once.
 func singleCell(name string, qps float64, bully BullyMode, pol isolation.Policy, scale Scale) Cell {
 	c := Cell{
-		Name:      name,
-		Cost:      float64(scale.Queries),
-		Run:       func() any { return RunSingle(qps, bully, pol, scale) },
-		TracedRun: func(tr *simtrace.Tracer) any { return RunSingleTraced(qps, bully, pol, scale, tr) },
+		Name: name,
+		Cost: float64(scale.Queries),
+		Run: func(eng *sim.Engine, tr *simtrace.Tracer) any {
+			return runSingle(eng, tr, qps, bully, pol, scale)
+		},
 	}
 	suffix := fmt.Sprintf("bully=%s/qps=%g/queries=%d/warmup=%d/seed=%d",
 		bully, qps, scale.Queries, scale.Warmup, scale.Seed)

@@ -48,7 +48,11 @@ cpu: used %.1f%% (secondary %.1f%%)
 
 // RunFullStack executes the combined scenario at the given load.
 func RunFullStack(qps float64, scale Scale) FullStackResult {
-	eng := sim.NewEngine()
+	return runFullStack(sim.NewEngine(), qps, scale)
+}
+
+// runFullStack is the full-stack cell on eng.
+func runFullStack(eng *sim.Engine, qps float64, scale Scale) FullStackResult {
 	ncfg := node.DefaultConfig()
 	ncfg.Seed = scale.Seed
 	n := node.New(eng, ncfg)

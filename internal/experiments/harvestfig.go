@@ -10,6 +10,7 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/harvest"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
 )
@@ -118,8 +119,8 @@ type HarvestFrontier struct {
 // runHarvestScenario assembles one cluster under PerfIso, overlays the
 // hotspot load, submits the synthetic batch backlog through an
 // Autopilot-managed harvest scheduler, and replays the query trace.
-func runHarvestScenario(scale HarvestScale, policy string) HarvestPoint {
-	return runHarvestScenarioWith(scale, policy, func(sched *harvest.Scheduler) {
+func runHarvestScenario(eng *sim.Engine, scale HarvestScale, policy string) HarvestPoint {
+	return runHarvestScenarioWith(eng, scale, policy, func(sched *harvest.Scheduler) {
 		for j := 0; j < scale.Jobs; j++ {
 			if _, err := sched.Submit(harvest.JobSpec{
 				Name:     fmt.Sprintf("batch-%d", j),
@@ -137,8 +138,7 @@ func runHarvestScenario(scale HarvestScale, policy string) HarvestPoint {
 // frontier and the trace-replay frontier: feed installs the batch
 // workload (a backlog dump or a trace feeder) once the scheduler is
 // running.
-func runHarvestScenarioWith(scale HarvestScale, policy string, feed func(*harvest.Scheduler)) HarvestPoint {
-	eng := sim.NewEngine()
+func runHarvestScenarioWith(eng *sim.Engine, scale HarvestScale, policy string, feed func(*harvest.Scheduler)) HarvestPoint {
 	ccfg := cluster.ScaledConfig(scale.Columns)
 	ccfg.Seed = scale.Seed
 	c := cluster.New(eng, ccfg)
@@ -248,7 +248,9 @@ func harvestCells(scale HarvestScale) []Cell {
 			Name: "policy=" + policy,
 			Key:  syntheticHarvestKey(policy),
 			Cost: harvestScenarioCost(scale),
-			Run:  func() any { return runHarvestScenario(scale, policy) },
+			Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+				return runHarvestScenario(eng, scale, policy)
+			},
 		})
 	}
 	return cells

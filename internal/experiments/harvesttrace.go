@@ -6,6 +6,7 @@ import (
 
 	"perfiso/internal/harvest"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/workload"
 )
 
@@ -67,9 +68,9 @@ type HarvestTraceFrontier struct {
 
 // runHarvestTraceScenario runs one frontier cell with the secondary
 // replayed from the generated batch trace.
-func runHarvestTraceScenario(scale HarvestScale, batch workload.BatchTraceConfig, policy string) HarvestPoint {
+func runHarvestTraceScenario(eng *sim.Engine, scale HarvestScale, batch workload.BatchTraceConfig, policy string) HarvestPoint {
 	trace := workload.GenerateBatchTrace(batch)
-	return runHarvestScenarioWith(scale, policy, func(sched *harvest.Scheduler) {
+	return runHarvestScenarioWith(eng, scale, policy, func(sched *harvest.Scheduler) {
 		feeder, err := harvest.NewTraceFeeder(sched, trace)
 		if err != nil {
 			panic(err)
@@ -94,12 +95,16 @@ func harvestTraceCells(s ScaleSpec) []Cell {
 				Name: "policy=" + policy + "/src=" + sourceSynthetic,
 				Key:  syntheticHarvestKey(policy),
 				Cost: harvestScenarioCost(s.Harvest),
-				Run:  func() any { return runHarvestScenario(s.Harvest, policy) },
+				Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+					return runHarvestScenario(eng, s.Harvest, policy)
+				},
 			},
 			Cell{
 				Name: "policy=" + policy + "/src=" + sourceTrace,
 				Cost: harvestScenarioCost(s.Harvest),
-				Run:  func() any { return runHarvestTraceScenario(s.Harvest, s.BatchTrace, policy) },
+				Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+					return runHarvestTraceScenario(eng, s.Harvest, s.BatchTrace, policy)
+				},
 			})
 	}
 	return cells

@@ -6,6 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"perfiso/internal/obs"
+	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 )
 
 // CostOrder returns cell indices sorted expensive-first (stable, so
@@ -45,14 +49,33 @@ func poolSize(workers, cells int) int {
 // timing artifacts.
 func PoolSize(workers, cells int) int { return poolSize(workers, cells) }
 
+// RunCell executes one cell on a fresh engine, recording into tr when
+// it is non-nil, and folds the engine's counts into obs.Default(). It
+// is the one path every executor takes — the in-process pool, the
+// shard runner and dispatch workers — so each executed cell is counted
+// exactly once, wherever it runs.
+func RunCell(c Cell, tr *simtrace.Tracer) any {
+	eng := sim.NewEngine()
+	v := c.Run(eng, tr)
+	obs.Default().Add(eng.Counts())
+	return v
+}
+
 // RunCells executes cells on a pool of workers goroutines and returns
 // their results in cell order. Every cell owns its engine and seed, so
 // the results are bit-identical to a sequential run — parallelism
 // changes only the wall clock. workers <= 0 uses GOMAXPROCS.
 func RunCells(cells []Cell, workers int) []any {
-	out := make([]any, len(cells))
+	return Parallel(len(cells), workers, func(i int) any { return RunCell(cells[i], nil) })
+}
+
+// Parallel calls run(0), …, run(n-1) on a pool of workers goroutines
+// and returns the results in index order. workers <= 0 uses
+// GOMAXPROCS.
+func Parallel(n, workers int, run func(i int) any) []any {
+	out := make([]any, n)
 	var mu sync.Mutex
-	runCells(cells, workers, func(i, _ int, v any, _ time.Time, _ time.Duration) {
+	runPool(n, workers, run, func(i, _ int, v any, _ time.Time, _ time.Duration) {
 		mu.Lock()
 		out[i] = v
 		mu.Unlock()
@@ -60,17 +83,17 @@ func RunCells(cells []Cell, workers int) []any {
 	return out
 }
 
-// runCells is the pool core: workers goroutines pull cell indices from
-// a shared counter and report each completion (concurrently) through
-// done, along with the executing worker's index and the cell's start
-// time so callers can build traces. A panicking cell stops its worker;
+// runPool is the pool core: workers goroutines pull indices from a
+// shared counter, run them, and report each completion (concurrently)
+// through done, along with the executing worker's index and the start
+// time so callers can build traces. A panicking run stops its worker;
 // the first panic is re-raised on the caller after the remaining
 // workers drain.
-func runCells(cells []Cell, workers int, done func(i, worker int, v any, start time.Time, elapsed time.Duration)) {
-	if len(cells) == 0 {
+func runPool(n, workers int, run func(i int) any, done func(i, worker int, v any, start time.Time, elapsed time.Duration)) {
+	if n == 0 {
 		return
 	}
-	workers = poolSize(workers, len(cells))
+	workers = poolSize(workers, n)
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -88,11 +111,11 @@ func runCells(cells []Cell, workers int, done func(i, worker int, v any, start t
 			}()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				if i >= n {
 					return
 				}
 				start := time.Now() //perfiso:allow walltime cell wall cost feeds timing.json only
-				v := cells[i].Run()
+				v := run(i)
 				done(i, w, v, start, time.Since(start)) //perfiso:allow walltime cell wall cost feeds timing.json only
 			}
 		}(w)

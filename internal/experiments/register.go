@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"perfiso/internal/cluster"
+	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/stats"
 )
 
@@ -178,7 +180,9 @@ func DefaultRegistry() *Registry {
 			return []Cell{{
 				Name: fmt.Sprintf("qps=%.0f", s.FullStackQPS),
 				Cost: float64(s.Single.Queries),
-				Run:  func() any { return RunFullStack(s.FullStackQPS, s.Single) },
+				Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+					return runFullStack(eng, s.FullStackQPS, s.Single)
+				},
 			}}
 		},
 		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
@@ -209,7 +213,9 @@ func DefaultRegistry() *Registry {
 			return []Cell{{
 				Name: "diurnal",
 				Cost: 0.725 * s.Timeline.PeakQPS * s.Timeline.Duration.Seconds(),
-				Run:  func() any { return RunTimeline(s.Timeline) },
+				Run: func(eng *sim.Engine, _ *simtrace.Tracer) any {
+					return runTimeline(eng, s.Timeline)
+				},
 			}}
 		},
 		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"perfiso/internal/obs"
+	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
 	"perfiso/internal/workload"
 )
@@ -72,9 +73,10 @@ func PaperSpec() ScaleSpec {
 }
 
 // Cell is one independent seeded simulation — a single point of a
-// figure's sweep. Cells share nothing: each builds its own engine from
-// its own seed, so a pool may run them in any order, on any number of
-// workers, and produce results bit-identical to a sequential run.
+// figure's sweep. Cells share nothing: each runs on its own engine
+// from its own seed, so a pool may run them in any order, on any
+// number of workers, and produce results bit-identical to a
+// sequential run.
 type Cell struct {
 	// Name identifies the cell within its experiment
 	// (e.g. "bully=high/qps=2000").
@@ -91,13 +93,12 @@ type Cell struct {
 	// The pool schedules expensive cells first and the shard planner
 	// balances shards by it; zero means "unknown", treated as 1.
 	Cost float64
-	// Run executes the cell and returns its result.
-	Run func() any
-	// TracedRun, when set, executes the cell with a sim-domain tracer
-	// attached. It must return the exact result Run would — tracers are
-	// pure observers — so a traced registry run stays byte-identical to
-	// an untraced one. Cells without it simply run untraced.
-	TracedRun func(tr *simtrace.Tracer) any
+	// Run executes the cell on eng, a fresh engine that also carries
+	// the cell's counts (see RunCell), and returns its result. tr, when
+	// non-nil, records the cell's sim-domain trace; cells that support
+	// tracing attach it, others ignore it. Tracers are pure observers,
+	// so the result is the same with or without one.
+	Run func(eng *sim.Engine, tr *simtrace.Tracer) any
 }
 
 // CostOrDefault is the planning cost: Cost, or 1 when unset.
@@ -260,10 +261,11 @@ type RunOptions struct {
 	OnCell func(experiment, cell string, elapsed time.Duration)
 	// Tracer, when set, collects one span per executed cell.
 	Tracer *obs.TraceBuffer
-	// OnSimTrace, when set, attaches a sim-domain tracer to every cell
-	// that supports one (Cell.TracedRun) and delivers the captured
-	// traces after the pool drains, in deterministic scheduling order.
-	// Keyed-dedup cells deliver once, under the executed cell's name.
+	// OnSimTrace, when set, hands a sim-domain tracer to every cell and
+	// delivers each non-empty trace after the pool drains, in
+	// deterministic scheduling order; cells that do not support tracing
+	// record nothing and are skipped. Keyed-dedup cells deliver once,
+	// under the executed cell's name.
 	OnSimTrace func(experiment, cell string, tr *simtrace.Tracer)
 }
 
@@ -379,20 +381,13 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 	}
 	flat, slots = sortedFlat, sortedSlots
 
-	// Sim tracing: swap in the traced runner for every capable cell.
-	// Each tracer is private to its cell, so the pool needs no extra
-	// locking; delivery happens after the pool drains, in the flat
-	// (cost-sorted, deterministic) order.
-	var simTracers []*simtrace.Tracer
+	// Sim tracing: each tracer is private to its cell, so the pool
+	// needs no extra locking; delivery happens after the pool drains,
+	// in the flat (cost-sorted, deterministic) order.
+	simTracers := make([]*simtrace.Tracer, len(flat))
 	if opts.OnSimTrace != nil {
-		simTracers = make([]*simtrace.Tracer, len(flat))
-		for i := range flat {
-			if flat[i].TracedRun == nil {
-				continue
-			}
-			tr, traced := simtrace.New(), flat[i].TracedRun
-			simTracers[i] = tr
-			flat[i].Run = func() any { return traced(tr) }
+		for i := range simTracers {
+			simTracers[i] = simtrace.New()
 		}
 	}
 
@@ -401,7 +396,8 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 	var mu sync.Mutex
 	start := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
 	enumerateSec := start.Sub(enumStart).Seconds()
-	runCells(flat, opts.Workers, func(i, worker int, v any, cellStart time.Time, d time.Duration) {
+	run := func(i int) any { return RunCell(flat[i], simTracers[i]) }
+	runPool(len(flat), opts.Workers, run, func(i, worker int, v any, cellStart time.Time, d time.Duration) {
 		mu.Lock()
 		for _, s := range slots[i] {
 			perExp[s.exp][s.cell] = v
@@ -433,7 +429,7 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 
 	if opts.OnSimTrace != nil {
 		for i, tr := range simTracers {
-			if tr != nil {
+			if tr.Len() > 0 {
 				opts.OnSimTrace(selected[slots[i][0].exp].Name, flat[i].Name, tr)
 			}
 		}

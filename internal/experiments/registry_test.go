@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 )
 
 func dummyExperiment(name string) Experiment {
@@ -13,7 +16,7 @@ func dummyExperiment(name string) Experiment {
 		Name:     name,
 		Describe: "dummy",
 		Cells: func(ScaleSpec) []Cell {
-			return []Cell{{Name: "only", Run: func() any { return 1 }}}
+			return []Cell{{Name: "only", Run: func(*sim.Engine, *simtrace.Tracer) any { return 1 }}}
 		},
 		Assemble: func(_ ScaleSpec, _ []Cell, results []any) (any, Report) {
 			return results[0], Report{Table: "t", Rows: []Row{{Cell: "only", Metrics: []Metric{{"v", 1}}}}}
@@ -86,7 +89,7 @@ func TestRunCellsEmptyAndPanic(t *testing.T) {
 			t.Fatal("cell panic not propagated")
 		}
 	}()
-	RunCells([]Cell{{Name: "boom", Run: func() any { panic("boom") }}}, 2)
+	RunCells([]Cell{{Name: "boom", Run: func(*sim.Engine, *simtrace.Tracer) any { panic("boom") }}}, 2)
 }
 
 func TestRunNoMatch(t *testing.T) {

@@ -234,7 +234,7 @@ type RunTiming struct {
 	// TopCells lists the most expensive cells by wall time (populated
 	// with -stats).
 	TopCells []CellTiming `json:"top_cells,omitempty"`
-	// Stats is the recording tracker's counter snapshot (populated
+	// Stats is the obs recording's counter snapshot (populated
 	// with -stats).
 	Stats *obs.Snapshot `json:"stats,omitempty"`
 }

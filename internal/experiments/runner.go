@@ -105,7 +105,7 @@ func (r SingleResult) DegradationMs(baseline SingleResult) (p50, p95, p99 float6
 // qps colocated with the selected bully under the given policy.
 // A nil policy means no isolation.
 func RunSingle(qps float64, bully BullyMode, pol isolation.Policy, scale Scale) SingleResult {
-	return RunSingleTraced(qps, bully, pol, scale, nil)
+	return runSingle(sim.NewEngine(), nil, qps, bully, pol, scale)
 }
 
 // RunSingleTraced is RunSingle with an optional sim-domain tracer
@@ -113,7 +113,12 @@ func RunSingle(qps float64, bully BullyMode, pol isolation.Policy, scale Scale) 
 // controller decisions. The tracer is a pure observer: the returned
 // result is byte-identical with tr nil or not.
 func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale Scale, tr *simtrace.Tracer) SingleResult {
-	eng := sim.NewEngine()
+	return runSingle(sim.NewEngine(), tr, qps, bully, pol, scale)
+}
+
+// runSingle is the single-machine cell on eng, traced into tr when it
+// is non-nil.
+func runSingle(eng *sim.Engine, tr *simtrace.Tracer, qps float64, bully BullyMode, pol isolation.Policy, scale Scale) SingleResult {
 	cfg := node.DefaultConfig()
 	cfg.Seed = scale.Seed
 	n := node.New(eng, cfg)

@@ -77,11 +77,13 @@ func Diurnal(x float64) float64 {
 }
 
 // RunTimeline executes the DES timeline.
-func RunTimeline(cfg TimelineConfig) TimelineResult {
+func RunTimeline(cfg TimelineConfig) TimelineResult { return runTimeline(sim.NewEngine(), cfg) }
+
+// runTimeline is the timeline cell on eng.
+func runTimeline(eng *sim.Engine, cfg TimelineConfig) TimelineResult {
 	if cfg.Duration <= 0 || cfg.Window <= 0 || cfg.PeakQPS <= 0 {
 		panic("experiments: invalid timeline config")
 	}
-	eng := sim.NewEngine()
 	ncfg := node.DefaultConfig()
 	ncfg.Seed = cfg.Seed
 	n := node.New(eng, ncfg)

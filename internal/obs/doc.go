@@ -1,42 +1,36 @@
-// Package obs is the zero-cost-when-off instrumentation layer shared
-// by the sim engine, the PerfIso controller, the harvest scheduler and
-// the dispatch fleet.
+// Package obs is the harness-side instrumentation layer: run-wide
+// counters, per-cell wall-clock spans, and Prometheus-text rendering.
 //
-// # The tracker contract
+// # Counters
 //
-// Tracker is a pure observer: implementations MUST NOT influence the
-// simulation or scheduling decisions of the code that calls them —
-// results stay byte-identical whether tracking is off, on, or swapped
-// mid-run. Every instrumented layer holds a Tracker and reports its
-// hot-path events through it:
+// Recording holds lock-free atomic counters, safe for every pool
+// worker and dispatch worker in a process to share. Every method is a
+// no-op on a nil receiver, and a nil *Recording is how counting is
+// switched off, so call sites never branch.
 //
-//   - sim.Engine: events pushed/popped (with heap depth) and virtual
-//     time advanced per Run.
-//   - core.BlindIsolation / core.MemoryGuard: buffer grow/shrink
-//     decisions, grow attempts deferred by the holdoff, and
-//     memory-guard evictions.
-//   - harvest.Scheduler: placements, preemptions and failure requeues.
-//   - dispatch.Coordinator / dispatch.Worker: claims, steals, lease
-//     expiries, stale uploads, and upload latencies.
+// Cell code never touches a Recording. Each executed cell runs on a
+// fresh sim.Engine, which keeps that cell's counts in plain fields:
+// events pushed and popped, max heap depth and virtual time, plus the
+// decision tallies core and harvest bump through the engine they hold
+// (blind-isolation grows, shrinks and holdoff deferrals, memory-guard
+// evictions, harvest placements, preemptions and failure requeues).
+// When the cell returns, experiments.RunCell folds the engine's counts
+// into Default() with one Add call. The in-process pool, the shard
+// runner and dispatch workers all run cells through RunCell, so each
+// executed cell is counted once, whichever path ran it.
 //
-// Two implementations exist:
+// The dispatch coordinator and workers count their own decisions
+// through Claim, Steal, LeaseExpired, StaleUpload and Upload. They
+// use dispatch.Options.Stats or Worker.Stats, or Default() when those
+// are nil.
 //
-//   - The noop tracker (NopTracker, the package default): every method
-//     is an empty body and Enabled reports false. Hot paths guard
-//     their calls with a cached Enabled flag, so production runs pay a
-//     single predictable branch per event — nothing is allocated,
-//     counted or locked.
-//   - The recording tracker (NewRecording): lock-free atomic counters
-//     safe for concurrent use by every cell and worker in a process.
-//     Snapshot projects the counters into a JSON-serializable struct
-//     (folded into timing.json by `perfiso-repro run -stats`), and
-//     Metrics renders them for the Prometheus-text /metrics endpoint
-//     served by `perfiso-repro serve`.
-//
-// Layers pick up the process-wide tracker via Default at construction
-// time; SetDefault installs a recording tracker before a run (the
-// `-stats` flag does this) and individual components accept an
-// explicit tracker via their SetTracker methods for tests.
+// SetDefault installs the process-wide recording before a run (the
+// `-stats` flag does this) and SetDefault(nil) turns counting off
+// again. Snapshot projects the counters into a JSON-serializable
+// struct, folded into timing.json by `perfiso-repro run -stats`, and
+// Metrics renders it for the /metrics endpoints of `perfiso-repro
+// serve` and `work`. Counting never feeds back into a simulation, so
+// results are byte-identical with it on or off.
 //
 // # Trace spans
 //

@@ -5,39 +5,29 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"perfiso/internal/sim"
 )
 
-func TestNopTrackerDisabled(t *testing.T) {
-	trk := NopTracker()
-	if trk.Enabled() {
-		t.Fatal("noop tracker reports enabled")
-	}
-	// Every method must be callable and side-effect free.
-	trk.EventPushed(3)
-	trk.EventPopped()
-	trk.SimAdvanced(10)
-	trk.BufferGrow(2)
-	trk.BufferShrink(1)
-	trk.HoldoffDeferred()
-	trk.Eviction()
-	trk.Placement()
-	trk.Preemption()
-	trk.TaskRequeue()
-	trk.Claim()
-	trk.Steal()
-	trk.LeaseExpired()
-	trk.StaleUpload()
-	trk.Upload(0.5)
+func TestNilRecordingIsNoop(t *testing.T) {
+	// Every method must be callable on the nil recording and do nothing.
+	var rec *Recording
+	rec.Add(sim.Counts{EventsPushed: 3})
+	rec.Claim()
+	rec.Steal()
+	rec.LeaseExpired()
+	rec.StaleUpload()
+	rec.Upload(0.5)
 }
 
 func TestDefaultTracker(t *testing.T) {
-	if Default().Enabled() {
-		t.Fatal("default tracker should start as noop")
+	if Default() != nil {
+		t.Fatal("default recording should start nil")
 	}
 	rec := NewRecording()
 	SetDefault(rec)
 	defer SetDefault(nil)
-	if !Default().Enabled() {
+	if Default() != rec {
 		t.Fatal("recording default not installed")
 	}
 	Default().Claim()
@@ -45,29 +35,21 @@ func TestDefaultTracker(t *testing.T) {
 		t.Fatalf("claims = %d, want 1", got)
 	}
 	SetDefault(nil)
-	if Default().Enabled() {
-		t.Fatal("SetDefault(nil) should restore the noop tracker")
+	if Default() != nil {
+		t.Fatal("SetDefault(nil) should turn counting off")
 	}
 }
 
 func TestRecordingCounters(t *testing.T) {
 	rec := NewRecording()
-	if !rec.Enabled() {
-		t.Fatal("recording tracker reports disabled")
-	}
-	rec.EventPushed(2)
-	rec.EventPushed(7)
-	rec.EventPushed(4)
-	rec.EventPopped()
-	rec.SimAdvanced(1_500_000_000)
-	rec.BufferGrow(3)
-	rec.BufferShrink(2)
-	rec.BufferShrink(1)
-	rec.HoldoffDeferred()
-	rec.Eviction()
-	rec.Placement()
-	rec.Preemption()
-	rec.TaskRequeue()
+	rec.Add(sim.Counts{
+		EventsPushed: 2, EventsPopped: 1, MaxHeapDepth: 7, SimTime: 1500 * sim.Millisecond,
+		Tally: sim.Tally{BufferGrows: 1, BufferShrinks: 2, HoldoffDeferrals: 1, Evictions: 1},
+	})
+	rec.Add(sim.Counts{
+		EventsPushed: 1, MaxHeapDepth: 4,
+		Tally: sim.Tally{Placements: 1, Preemptions: 1, Requeues: 1},
+	})
 	rec.Claim()
 	rec.Steal()
 	rec.LeaseExpired()
@@ -116,8 +98,7 @@ func TestRecordingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				rec.EventPushed(g*1000 + i)
-				rec.EventPopped()
+				rec.Add(sim.Counts{EventsPushed: 1, EventsPopped: 1, MaxHeapDepth: g*1000 + i})
 				rec.Claim()
 			}
 		}(g)

@@ -1,10 +1,17 @@
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Recording is the Tracker implementation that actually counts: every
-// method is a lock-free atomic update, safe for every cell goroutine
-// and dispatch worker in the process to share one instance.
+	"perfiso/internal/sim"
+)
+
+// Recording counts what a run did: the sim, controller and harvest
+// counts the harness folds in once per executed cell (Add), and the
+// dispatch coordinator's and workers' decisions. Every method is a
+// lock-free atomic update, safe for every pool worker and dispatch
+// worker in the process to share, and a no-op on a nil receiver: a
+// nil *Recording is how counting is switched off.
 type Recording struct {
 	eventsPushed atomic.Uint64
 	eventsPopped atomic.Uint64
@@ -29,79 +36,88 @@ type Recording struct {
 	uploadMaxNs   atomic.Int64
 }
 
-// NewRecording returns a zeroed recording tracker.
+// NewRecording returns a zeroed recording.
 func NewRecording() *Recording { return &Recording{} }
 
-// Enabled implements Tracker.
-func (r *Recording) Enabled() bool { return true }
+var defaultRecording atomic.Pointer[Recording]
 
-// EventPushed implements Tracker.
-func (r *Recording) EventPushed(depth int) {
-	r.eventsPushed.Add(1)
-	d := int64(depth)
-	for {
-		cur := r.maxHeapDepth.Load()
-		if d <= cur || r.maxHeapDepth.CompareAndSwap(cur, d) {
-			return
-		}
+// Default returns the process-wide recording, or nil when counting is
+// off. Only the harness reads it: cells count on their own engine.
+func Default() *Recording { return defaultRecording.Load() }
+
+// SetDefault installs the process-wide recording (nil turns counting
+// off). Install it before a run starts.
+func SetDefault(r *Recording) { defaultRecording.Store(r) }
+
+// Add folds one cell's engine counts into the recording. Counts sum
+// across cells; the heap depth keeps the deepest cell's maximum.
+func (r *Recording) Add(c sim.Counts) {
+	if r == nil {
+		return
+	}
+	r.eventsPushed.Add(c.EventsPushed)
+	r.eventsPopped.Add(c.EventsPopped)
+	storeMax(&r.maxHeapDepth, int64(c.MaxHeapDepth))
+	r.simNs.Add(int64(c.SimTime))
+	r.bufferGrows.Add(c.BufferGrows)
+	r.bufferShrinks.Add(c.BufferShrinks)
+	r.holdoffDeferrals.Add(c.HoldoffDeferrals)
+	r.evictions.Add(c.Evictions)
+	r.placements.Add(c.Placements)
+	r.preemptions.Add(c.Preemptions)
+	r.taskRequeues.Add(c.Requeues)
+}
+
+// Claim counts one unit handed to a dispatch worker.
+func (r *Recording) Claim() {
+	if r != nil {
+		r.claims.Add(1)
 	}
 }
 
-// EventPopped implements Tracker.
-func (r *Recording) EventPopped() { r.eventsPopped.Add(1) }
+// Steal counts one claim of a unit whose lease another worker lost.
+func (r *Recording) Steal() {
+	if r != nil {
+		r.steals.Add(1)
+	}
+}
 
-// SimAdvanced implements Tracker.
-func (r *Recording) SimAdvanced(ns int64) { r.simNs.Add(ns) }
+// LeaseExpired counts one lapsed dispatch lease.
+func (r *Recording) LeaseExpired() {
+	if r != nil {
+		r.leaseExpiries.Add(1)
+	}
+}
 
-// BufferGrow implements Tracker.
-func (r *Recording) BufferGrow(int) { r.bufferGrows.Add(1) }
+// StaleUpload counts one rejected duplicate upload.
+func (r *Recording) StaleUpload() {
+	if r != nil {
+		r.staleUploads.Add(1)
+	}
+}
 
-// BufferShrink implements Tracker.
-func (r *Recording) BufferShrink(int) { r.bufferShrinks.Add(1) }
-
-// HoldoffDeferred implements Tracker.
-func (r *Recording) HoldoffDeferred() { r.holdoffDeferrals.Add(1) }
-
-// Eviction implements Tracker.
-func (r *Recording) Eviction() { r.evictions.Add(1) }
-
-// Placement implements Tracker.
-func (r *Recording) Placement() { r.placements.Add(1) }
-
-// Preemption implements Tracker.
-func (r *Recording) Preemption() { r.preemptions.Add(1) }
-
-// TaskRequeue implements Tracker.
-func (r *Recording) TaskRequeue() { r.taskRequeues.Add(1) }
-
-// Claim implements Tracker.
-func (r *Recording) Claim() { r.claims.Add(1) }
-
-// Steal implements Tracker.
-func (r *Recording) Steal() { r.steals.Add(1) }
-
-// LeaseExpired implements Tracker.
-func (r *Recording) LeaseExpired() { r.leaseExpiries.Add(1) }
-
-// StaleUpload implements Tracker.
-func (r *Recording) StaleUpload() { r.staleUploads.Add(1) }
-
-// Upload implements Tracker.
+// Upload counts one accepted result upload and its transport latency.
 func (r *Recording) Upload(seconds float64) {
+	if r == nil {
+		return
+	}
 	r.uploads.Add(1)
 	ns := int64(seconds * 1e9)
 	r.uploadNs.Add(ns)
+	storeMax(&r.uploadMaxNs, ns)
+}
+
+// storeMax raises *m to v if v is larger.
+func storeMax(m *atomic.Int64, v int64) {
 	for {
-		cur := r.uploadMaxNs.Load()
-		if ns <= cur || r.uploadMaxNs.CompareAndSwap(cur, ns) {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
-var _ Tracker = (*Recording)(nil)
-
-// Snapshot is the JSON projection of a recording tracker, folded into
+// Snapshot is the JSON projection of a recording, folded into
 // timing.json's "stats" section by `perfiso-repro run -stats`.
 type Snapshot struct {
 	SimEventsPushed uint64  `json:"sim_events_pushed"`
@@ -109,8 +125,8 @@ type Snapshot struct {
 	SimMaxHeapDepth int64   `json:"sim_max_heap_depth"`
 	SimSeconds      float64 `json:"sim_seconds"`
 	// RNGDraws is filled by the caller from sim.RNGDraws (RNG draw
-	// accounting is gated inside the sim package, not tracked per draw
-	// through the interface — see sim.SetRNGAccounting).
+	// accounting is gated inside the sim package, not counted per cell
+	// — see sim.SetRNGAccounting).
 	RNGDraws uint64 `json:"rng_draws,omitempty"`
 
 	CoreBufferGrows      uint64 `json:"core_buffer_grows"`
@@ -131,7 +147,7 @@ type Snapshot struct {
 	DispatchUploadMaxSeconds  float64 `json:"dispatch_upload_max_seconds"`
 }
 
-// Snapshot reads the counters. It is safe to call while tracking
+// Snapshot reads the counters. It is safe to call while counting
 // continues; the values are each individually consistent.
 func (r *Recording) Snapshot() Snapshot {
 	s := Snapshot{

@@ -55,9 +55,10 @@ func (r *UnitRunner) Unit(id string) (Unit, bool) {
 	return r.units[i], true
 }
 
-// RunUnit executes the named unit's cell and serializes its result.
-// The returned cell's bytes depend only on the unit (its seed and
-// parameters), never on which process or worker ran it.
+// RunUnit executes the named unit's cell through experiments.RunCell
+// (which also folds its counts into obs.Default()) and serializes its
+// result. The returned cell's bytes depend only on the unit (its seed
+// and parameters), never on which process or worker ran it.
 func (r *UnitRunner) RunUnit(id string) (PartialCell, error) {
 	ui, ok := r.byID[id]
 	if !ok {
@@ -66,7 +67,7 @@ func (r *UnitRunner) RunUnit(id string) (PartialCell, error) {
 	u := r.units[ui]
 	mc := r.Manifest.Cells[u.Cells[0]]
 	start := time.Now() //perfiso:allow walltime unit wall time feeds timing.json only
-	v := r.live[u.Cells[0]].Run()
+	v := experiments.RunCell(r.live[u.Cells[0]], nil)
 	elapsed := time.Since(start) //perfiso:allow walltime unit wall time feeds timing.json only
 	blob, err := json.Marshal(v)
 	if err != nil {
@@ -95,41 +96,38 @@ func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment,
 	}
 	var mu sync.Mutex
 	base := time.Now() //perfiso:allow walltime span timestamps are observability only
-	wrapped := make([]experiments.Cell, len(ids))
+	// Only Cost matters to the launch order.
+	costs := make([]experiments.Cell, len(ids))
 	for i, id := range ids {
-		id := id
 		u, ok := r.Unit(id)
 		if !ok {
 			return nil, fmt.Errorf("shard: plan references unknown unit %s", id)
 		}
-		wrapped[i] = experiments.Cell{Name: id, Cost: u.Cost, Run: func() any {
-			start := time.Now() //perfiso:allow walltime span timestamps are observability only
-			pc, err := r.RunUnit(id)
-			if err == nil && tracer != nil {
-				tracer.Add(obs.Span{
-					Experiment: pc.Experiment,
-					Cell:       pc.Cell,
-					Unit:       id,
-					Worker:     worker,
-					StartMs:    float64(start.Sub(base)) / 1e6,
-					DurationMs: time.Since(start).Seconds() * 1e3, //perfiso:allow walltime span timestamps are observability only
-				})
-			}
-			if err == nil && onCell != nil {
-				mu.Lock()
-				onCell(pc.Experiment, pc.Cell, time.Since(start)) //perfiso:allow walltime span timestamps are observability only
-				mu.Unlock()
-			}
-			return outcome{pc, err}
-		}}
+		costs[i] = experiments.Cell{Name: id, Cost: u.Cost}
+	}
+	runUnit := func(id string) outcome {
+		start := time.Now() //perfiso:allow walltime span timestamps are observability only
+		pc, err := r.RunUnit(id)
+		if err == nil && tracer != nil {
+			tracer.Add(obs.Span{
+				Experiment: pc.Experiment,
+				Cell:       pc.Cell,
+				Unit:       id,
+				Worker:     worker,
+				StartMs:    float64(start.Sub(base)) / 1e6,
+				DurationMs: time.Since(start).Seconds() * 1e3, //perfiso:allow walltime span timestamps are observability only
+			})
+		}
+		if err == nil && onCell != nil {
+			mu.Lock()
+			onCell(pc.Experiment, pc.Cell, time.Since(start)) //perfiso:allow walltime span timestamps are observability only
+			mu.Unlock()
+		}
+		return outcome{pc, err}
 	}
 
-	order := experiments.CostOrder(wrapped)
-	sorted := make([]experiments.Cell, len(order))
-	for i, ci := range order {
-		sorted[i] = wrapped[ci]
-	}
-	byOrder := experiments.RunCells(sorted, workers)
+	order := experiments.CostOrder(costs)
+	byOrder := experiments.Parallel(len(order), workers, func(i int) any { return runUnit(ids[order[i]]) })
 	out := make([]PartialCell, len(ids))
 	for i, ci := range order {
 		o := byOrder[i].(outcome)

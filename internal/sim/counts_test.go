@@ -1,47 +1,46 @@
 package sim
 
-import (
-	"testing"
+import "testing"
 
-	"perfiso/internal/obs"
-)
-
-func TestEngineTracker(t *testing.T) {
-	rec := obs.NewRecording()
+func TestEngineCounts(t *testing.T) {
 	e := NewEngine()
-	e.SetTracker(rec)
 	e.At(Time(10*Second), func() {})
 	e.At(Time(5*Second), func() {})
 	e.After(20*Second, func() {})
 	e.RunAll()
 
-	s := rec.Snapshot()
-	if s.SimEventsPushed != 3 || s.SimEventsPopped != 3 {
-		t.Fatalf("pushed/popped = %d/%d, want 3/3", s.SimEventsPushed, s.SimEventsPopped)
+	c := e.Counts()
+	if c.EventsPushed != 3 || c.EventsPopped != 3 {
+		t.Fatalf("pushed/popped = %d/%d, want 3/3", c.EventsPushed, c.EventsPopped)
 	}
-	if s.SimMaxHeapDepth < 2 {
-		t.Fatalf("max heap depth = %d, want >= 2", s.SimMaxHeapDepth)
+	if c.MaxHeapDepth < 2 {
+		t.Fatalf("max heap depth = %d, want >= 2", c.MaxHeapDepth)
 	}
-	if s.SimSeconds != 20 {
-		t.Fatalf("sim seconds = %v, want 20", s.SimSeconds)
+	if c.SimTime != 20*Second {
+		t.Fatalf("sim time = %v, want 20s", c.SimTime)
 	}
 }
 
-func TestEngineTrackerRun(t *testing.T) {
-	rec := obs.NewRecording()
+func TestEngineCountsRun(t *testing.T) {
 	e := NewEngine()
-	e.SetTracker(rec)
 	e.At(Time(2*Second), func() {})
+	e.At(Time(40*Second), func() {})
+	tm := e.AfterTimer(Second, func() {})
+	e.Cancel(tm)
 	e.Run(Time(30 * Second))
-	if got := rec.Snapshot().SimSeconds; got != 30 {
-		t.Fatalf("sim seconds = %v, want 30 (Run advances to until)", got)
+	c := e.Counts()
+	if c.SimTime != 30*Second {
+		t.Fatalf("sim time = %v, want 30s (Run advances to until)", c.SimTime)
 	}
-	// Disabling the tracker freezes the counters.
-	e.SetTracker(nil)
-	e.After(Second, func() {})
-	e.RunAll()
-	if got := rec.Snapshot().SimEventsPushed; got != 1 {
-		t.Fatalf("pushed = %d, want 1 after tracker removed", got)
+	// The cancelled entry is popped and discarded; the 40 s event stays
+	// queued, so it is pushed but not popped.
+	if c.EventsPushed != 3 || c.EventsPopped != 2 {
+		t.Fatalf("pushed/popped = %d/%d, want 3/2", c.EventsPushed, c.EventsPopped)
+	}
+	e.Tally.BufferGrows++
+	e.Tally.Placements += 2
+	if got := e.Counts().Tally; got != (Tally{BufferGrows: 1, Placements: 2}) {
+		t.Fatalf("tally = %+v", got)
 	}
 }
 
@@ -52,9 +51,6 @@ func TestDeterminismWithTracking(t *testing.T) {
 			defer SetRNGAccounting(false)
 		}
 		e := NewEngine()
-		if track {
-			e.SetTracker(obs.NewRecording())
-		}
 		rng := NewRNG(42)
 		var out []uint64
 		e.Ticker(Second, func() bool {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"perfiso/internal/obs"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -89,30 +85,64 @@ type Engine struct {
 
 	// executed counts dispatched events, exposed for tests and stats.
 	executed uint64
-	// trk observes pushes/pops/time advances; track caches trk.Enabled()
-	// so the disabled path costs one branch per event, not an interface
-	// call.
-	trk   obs.Tracker
-	track bool
+	// pushed, maxDepth and advanced are the work counts Counts reports.
+	// They are plain fields: an engine belongs to one cell, and one
+	// cell runs on one goroutine.
+	pushed   uint64
+	maxDepth int
+	advanced Duration
+
+	// Tally holds the cell's controller and harvest decision counts.
+	// core and harvest bump it through the engine they already hold.
+	Tally Tally
 }
 
-// NewEngine returns an empty engine at time zero, observing the
-// process-wide obs tracker.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.SetTracker(obs.Default())
-	return e
+// Tally counts a cell's controller and harvest decisions. It lives on
+// the engine, which outlives controller and scheduler restarts, so a
+// cell's totals stay exact.
+type Tally struct {
+	// BufferGrows and BufferShrinks count blind-isolation grant
+	// changes; HoldoffDeferrals counts grows the holdoff suppressed;
+	// Evictions counts memory-guard job kills.
+	BufferGrows, BufferShrinks, HoldoffDeferrals, Evictions uint64
+	// Placements, Preemptions and Requeues count harvest task
+	// placements, buffer-squeeze preemptions and failure requeues.
+	Placements, Preemptions, Requeues uint64
 }
 
-// SetTracker replaces the engine's tracker (nil restores the noop
-// tracker). Trackers are pure observers; swapping them never changes
-// simulation results.
-func (e *Engine) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
+// Counts is an engine's work and decision counts, read once per cell
+// by the harness.
+type Counts struct {
+	// EventsPushed and EventsPopped count heap entries in and out,
+	// cancelled ones included; MaxHeapDepth is the deepest heap seen.
+	EventsPushed, EventsPopped uint64
+	MaxHeapDepth               int
+	// SimTime sums the virtual time advanced by Run and RunAll.
+	SimTime Duration
+	Tally
+}
+
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{} }
+
+// Counts reports the engine's work and decision counts so far. Every
+// pop removes one pushed entry, so the pop count is derived.
+func (e *Engine) Counts() Counts {
+	return Counts{
+		EventsPushed: e.pushed,
+		EventsPopped: e.pushed - uint64(e.events.Len()),
+		MaxHeapDepth: e.maxDepth,
+		SimTime:      e.advanced,
+		Tally:        e.Tally,
 	}
-	e.trk = t
-	e.track = t.Enabled()
+}
+
+// countPush keeps the push counts after a heap push.
+func (e *Engine) countPush() {
+	e.pushed++
+	if n := e.events.Len(); n > e.maxDepth {
+		e.maxDepth = n
+	}
 }
 
 // Now returns the current virtual time.
@@ -159,9 +189,7 @@ func (e *Engine) AtTimer(t Time, fn func()) Timer {
 	slot := e.takeSlot(fn, seq)
 	e.live++
 	e.events.Push(event{at: t, seq: seq, slot: slot})
-	if e.track {
-		e.trk.EventPushed(e.events.Len())
-	}
+	e.countPush()
 	return Timer{slot: slot, seq: seq}
 }
 
@@ -204,9 +232,6 @@ func (e *Engine) Cancel(tm Timer) bool {
 func (e *Engine) Step() bool {
 	for e.events.Len() > 0 {
 		ev := e.events.Pop()
-		if e.track {
-			e.trk.EventPopped()
-		}
 		if e.slotSeq[ev.slot] != ev.seq {
 			// Cancelled: recycle the slot (held since Cancel so the
 			// stale heap entry could never alias a newer event) and
@@ -242,9 +267,6 @@ func (e *Engine) Run(until Time) uint64 {
 			// Cancelled head: discard without touching the clock.
 			e.events.Pop()
 			e.free = append(e.free, ev.slot)
-			if e.track {
-				e.trk.EventPopped()
-			}
 			continue
 		}
 		if ev.at > until {
@@ -256,9 +278,7 @@ func (e *Engine) Run(until Time) uint64 {
 		e.now = until
 	}
 	e.stopped = false
-	if e.track {
-		e.trk.SimAdvanced(int64(e.now.Sub(from)))
-	}
+	e.advanced += e.now.Sub(from)
 	return e.executed - start
 }
 
@@ -272,9 +292,7 @@ func (e *Engine) RunAll() uint64 {
 			break
 		}
 	}
-	if e.track {
-		e.trk.SimAdvanced(int64(e.now.Sub(from)))
-	}
+	e.advanced += e.now.Sub(from)
 	return e.executed - start
 }
 
@@ -328,9 +346,7 @@ func (a *Agenda) At(t Time, fn func()) {
 	slot := e.takeSlot(fn, seq)
 	e.live++
 	e.events.Push(event{at: t, seq: seq, slot: slot})
-	if e.track {
-		e.trk.EventPushed(e.events.Len())
-	}
+	e.countPush()
 }
 
 // Ticker invokes fn every period until it returns false. The first call

@@ -4,9 +4,9 @@
 // query's latency into attributed causes.
 //
 // It is the sim-domain counterpart of internal/obs, which instruments
-// the harness (wall clock, process-wide). Everything here is stamped
-// with sim time plus a per-tracer sequence number, so a trace is a
-// pure function of the seed: re-running the same cell yields the same
+// the harness (wall clock, run-wide counters). Everything here is
+// stamped with sim time plus a per-tracer sequence number, so a trace
+// is a pure function of the seed: re-running the same cell yields the same
 // bytes, at any worker count, on any machine.
 //
 // # Span model
@@ -17,17 +17,18 @@
 //     core for a duration. One track per core, named by metadata.
 //   - Async begin/end pairs ("b"/"e"): one per query, keyed by the
 //     query id, from arrival to completion or deadline drop.
-//   - Instants ("i"): controller decisions — blind-isolation buffer
-//     grow/shrink, holdoff deferrals, memory-guard evictions, harvest
-//     placements and preemptions — and query milestones such as
+//   - Instants ("i"): blind-isolation decisions — buffer grow/shrink,
+//     including the kill switch's jump to the full machine, and
+//     holdoff deferrals — and query milestones such as
 //     speculative-retry checkpoints and worker starts.
 //   - Track metadata: human-readable names for the core tracks.
 //
 // Event emission is nil-gated: every Tracer method is safe on a nil
 // receiver, and instrumented packages keep a plain pointer field that
 // stays nil unless tracing was requested, so the tracing-off hot path
-// pays one predictable branch — the same contract as the cached
-// tracker booleans from internal/obs.
+// pays one predictable branch. The harness hands the tracer to a cell
+// alongside its engine (experiments.Cell.Run); cells that do not
+// support tracing ignore it.
 //
 // # Attribution categories
 //

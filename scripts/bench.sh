@@ -45,9 +45,9 @@ if [ "$guard" = "1" ]; then
 	echo "WARN: event-heap new/old ratio regressed past 1.2x (set BENCH_STRICT=1 to fail)" >&2
 fi
 
-# Noop-overhead guard: the hot path with every observability layer off
-# (obs trackers since PR 6, sim-trace hooks since PR 10) must stay
-# within the ≤2% budget of the committed baseline. Compared before the
+# Noop-overhead guard: the hot path with every optional observability
+# layer off (RNG draw accounting, sim-trace hooks) must stay within the
+# ≤2% budget of the committed baseline. Compared before the
 # baseline file is overwritten. Single-shot -benchtime 1x timings on
 # shared runners are noisy, so the default is a warning — set
 # BENCH_STRICT=1 to make it fatal.
