@@ -203,6 +203,31 @@ func simtraceFileName(exp, cell string) string {
 	return sanitize(exp) + "--" + sanitize(cell) + ".json"
 }
 
+// writeSimTrace exports tr as Chrome trace JSON to path. It writes a
+// temp file in the same directory and renames it into place only once
+// the whole trace is on disk, so a failed export leaves no file under
+// the final name for tracecheck to mistake for a complete trace.
+func writeSimTrace(path string, tr *simtrace.Tracer) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if err = simtrace.WriteChrome(f, tr); err != nil {
+		f.Close()
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // statsTracking turns process-wide observability recording on for the
 // duration of a run. The returned stop restores the zero-cost default.
 func statsTracking(enabled bool) (rec *obs.Recording, stop func()) {
@@ -636,23 +661,14 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
 		}
-		// Delivery is serialized after the pool drains, in deterministic
-		// cell order; the first write error aborts the remaining files.
+		// Delivery is serialized and streams in deterministic cell order
+		// while the pool runs; the first write error aborts the
+		// remaining files.
 		runOpts.OnSimTrace = func(exp, cell string, tr *simtrace.Tracer) {
 			if simErr != nil || tr.Len() == 0 {
 				return
 			}
-			f, err := os.Create(filepath.Join(simDir, simtraceFileName(exp, cell)))
-			if err != nil {
-				simErr = err
-				return
-			}
-			if err := simtrace.WriteChrome(f, tr); err != nil {
-				f.Close()
-				simErr = err
-				return
-			}
-			if simErr = f.Close(); simErr == nil {
+			if simErr = writeSimTrace(filepath.Join(simDir, simtraceFileName(exp, cell)), tr); simErr == nil {
 				simCount++
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,5 +401,50 @@ func TestFilterProtectsDefaultReport(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "not overwriting") {
 		t.Errorf("missing skip notice on stderr: %s", errb.String())
+	}
+}
+
+// TestSimtraceWriteFailureLeavesNoTrace forces every trace's final
+// rename to fail (its path is an existing directory) and requires a
+// clean error: exit 1 and no temp or partial trace file left behind
+// for tracecheck to read.
+func TestSimtraceWriteFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	simDir := filepath.Join(dir, "test", "simtrace")
+	exp, ok := experiments.DefaultRegistry().Get("headline")
+	if !ok {
+		t.Fatal("headline not registered")
+	}
+	var blocked []string
+	for _, c := range exp.Cells(experiments.TestSpec()) {
+		name := simtraceFileName(exp.Name, c.Name)
+		if err := os.MkdirAll(filepath.Join(simDir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		blocked = append(blocked, name)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{"run", "-scale", "test", "-run", "^headline$", "-simtrace", "-quiet",
+		"-results", dir, "-report", ""}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "writing sim traces") {
+		t.Fatalf("stderr does not report the trace write failure: %s", errb.String())
+	}
+	entries, err := os.ReadDir(simDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+		if !e.IsDir() {
+			t.Errorf("file %s left behind", e.Name())
+		}
+	}
+	slices.Sort(blocked)
+	if !slices.Equal(left, blocked) {
+		t.Errorf("simtrace dir holds %v, want only the blocking directories %v", left, blocked)
 	}
 }

@@ -262,10 +262,14 @@ type RunOptions struct {
 	// Tracer, when set, collects one span per executed cell.
 	Tracer *obs.TraceBuffer
 	// OnSimTrace, when set, hands a sim-domain tracer to every cell and
-	// delivers each non-empty trace after the pool drains, in
-	// deterministic scheduling order; cells that do not support tracing
-	// record nothing and are skipped. Keyed-dedup cells deliver once,
-	// under the executed cell's name.
+	// delivers each non-empty trace in deterministic scheduling order
+	// (the cost-sorted order the pool launches cells in): a cell's trace
+	// is delivered as soon as it and every cell launched before it have
+	// completed, so only the tracers of cells still in flight or waiting
+	// on an earlier cell are held. Calls are serialized with OnCell, and
+	// the registry drops its reference to each tracer once delivered.
+	// Cells that do not support tracing record nothing and are skipped.
+	// Keyed-dedup cells deliver once, under the executed cell's name.
 	OnSimTrace func(experiment, cell string, tr *simtrace.Tracer)
 }
 
@@ -381,14 +385,18 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 	}
 	flat, slots = sortedFlat, sortedSlots
 
-	// Sim tracing: each tracer is private to its cell, so the pool
-	// needs no extra locking; delivery happens after the pool drains,
-	// in the flat (cost-sorted, deterministic) order.
+	// Sim tracing: each tracer is private to its cell while it runs.
+	// Delivery follows the flat (cost-sorted, deterministic) order:
+	// completed cells are marked in done, and the completion callback
+	// delivers the longest completed prefix, then drops those tracers.
 	simTracers := make([]*simtrace.Tracer, len(flat))
+	var done []bool
+	delivered := 0
 	if opts.OnSimTrace != nil {
 		for i := range simTracers {
 			simTracers[i] = simtrace.New()
 		}
+		done = make([]bool, len(flat))
 	}
 
 	cellSec := make([]float64, len(selected))
@@ -399,6 +407,7 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 	run := func(i int) any { return RunCell(flat[i], simTracers[i]) }
 	runPool(len(flat), opts.Workers, run, func(i, worker int, v any, cellStart time.Time, d time.Duration) {
 		mu.Lock()
+		defer mu.Unlock()
 		for _, s := range slots[i] {
 			perExp[s.exp][s.cell] = v
 		}
@@ -423,17 +432,17 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 		if opts.OnCell != nil {
 			opts.OnCell(expName, flat[i].Name, d)
 		}
-		mu.Unlock()
-	})
-	elapsed := time.Since(start) //perfiso:allow walltime phase timing feeds timing.json only
-
-	if opts.OnSimTrace != nil {
-		for i, tr := range simTracers {
-			if tr.Len() > 0 {
-				opts.OnSimTrace(selected[slots[i][0].exp].Name, flat[i].Name, tr)
+		if done != nil {
+			done[i] = true
+			for ; delivered < len(flat) && done[delivered]; delivered++ {
+				if tr := simTracers[delivered]; tr.Len() > 0 {
+					opts.OnSimTrace(selected[slots[delivered][0].exp].Name, flat[delivered].Name, tr)
+				}
+				simTracers[delivered] = nil
 			}
 		}
-	}
+	})
+	elapsed := time.Since(start) //perfiso:allow walltime phase timing feeds timing.json only
 
 	assembleStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
 	out := RunResult{

@@ -1,7 +1,6 @@
 package simtrace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,26 +18,78 @@ func tid(track int) int {
 	return track
 }
 
-// tsMicros renders a sim timestamp as microseconds with fixed
-// 3-decimal nanosecond precision — a deterministic decimal string.
-func tsMicros(ns int64) string {
+// flushAt is the buffered byte count past which WriteChrome hands the
+// buffer to its writer; one buffer is reused for the whole export.
+const flushAt = 64 << 10
+
+// appendMicros renders sim nanoseconds as microseconds with a fixed
+// 3-decimal nanosecond fraction — a deterministic decimal string.
+// Negative values clamp to 0.
+func appendMicros(b []byte, ns int64) []byte {
 	if ns < 0 {
 		ns = 0
 	}
-	return strconv.FormatInt(ns/1000, 10) + "." + fmt.Sprintf("%03d", ns%1000)
+	b = strconv.AppendInt(b, ns/1000, 10)
+	frac := ns % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-func writeArgs(w io.Writer, args []KV) {
-	io.WriteString(w, `,"args":{`)
-	for i, a := range args {
-		if i > 0 {
-			io.WriteString(w, ",")
+// appendQuote appends s as a JSON string, byte-identical to
+// strconv.Quote. Strings of printable ASCII other than '"' and '\\' —
+// nearly every name in a trace — need no escaping and are copied
+// directly.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
 		}
-		io.WriteString(w, strconv.Quote(a.Key))
-		io.WriteString(w, ":")
-		io.WriteString(w, strconv.Quote(a.Value))
 	}
-	io.WriteString(w, "}")
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func appendTID(b []byte, track int) []byte {
+	return strconv.AppendInt(append(b, `,"pid":0,"tid":`...), int64(tid(track)), 10)
+}
+
+func appendEvent(b []byte, e *Event) []byte {
+	b = append(b, ",\n{\"name\":"...)
+	b = appendQuote(b, e.Name)
+	if e.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendQuote(b, e.Cat)
+	}
+	switch e.Kind {
+	case KindSlice:
+		b = appendTID(append(b, `,"ph":"X"`...), e.Track)
+		b = appendMicros(append(b, `,"ts":`...), int64(e.TS))
+		b = appendMicros(append(b, `,"dur":`...), int64(e.Dur))
+	case KindBegin, KindEnd:
+		ph := `,"ph":"b"`
+		if e.Kind == KindEnd {
+			ph = `,"ph":"e"`
+		}
+		b = appendTID(append(b, ph...), e.Track)
+		b = strconv.AppendInt(append(b, `,"id":"`...), int64(e.ID), 10)
+		b = appendMicros(append(b, `","ts":`...), int64(e.TS))
+	case KindInstant:
+		b = appendTID(append(b, `,"ph":"i","s":"t"`...), e.Track)
+		b = appendMicros(append(b, `,"ts":`...), int64(e.TS))
+	}
+	if len(e.Args) > 0 {
+		b = append(b, `,"args":{`...)
+		for i, a := range e.Args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendQuote(b, a.Key)
+			b = append(b, ':')
+			b = appendQuote(b, a.Value)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
 }
 
 // WriteChrome serializes the tracer's events as Chrome trace-event
@@ -46,44 +97,35 @@ func writeArgs(w io.Writer, args []KV) {
 // or chrome://tracing. Events are ordered by (TS, Seq) after the
 // track-name metadata, and every field is rendered with a fixed
 // format, so the output bytes are a pure function of the capture.
+//
+// The export appends into one reused buffer and orders events through
+// an index permutation, so it allocates a fixed handful of times
+// whatever the event count; the tracer itself is not modified.
 func WriteChrome(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	io.WriteString(bw, "{\"traceEvents\":[\n")
-	io.WriteString(bw, `{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"perfiso-sim"}}`)
+	b := make([]byte, 0, flushAt+4<<10)
+	b = append(b, "{\"traceEvents\":[\n"...)
+	b = append(b, `{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"perfiso-sim"}}`...)
 	for _, tr := range t.Tracks() {
-		fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%s}}",
-			tid(tr.ID), strconv.Quote(tr.Name))
+		b = append(b, ",\n{\"name\":\"thread_name\",\"ph\":\"M\""...)
+		b = appendTID(b, tr.ID)
+		b = appendQuote(append(b, `,"args":{"name":`...), tr.Name)
+		b = append(b, "}}"...)
 	}
-	fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"control\"}}", controlTID)
-	for _, e := range t.Events() {
-		io.WriteString(bw, ",\n{")
-		io.WriteString(bw, `"name":`)
-		io.WriteString(bw, strconv.Quote(e.Name))
-		if e.Cat != "" {
-			io.WriteString(bw, `,"cat":`)
-			io.WriteString(bw, strconv.Quote(e.Cat))
+	b = append(b, ",\n{\"name\":\"thread_name\",\"ph\":\"M\""...)
+	b = appendTID(b, TrackControl)
+	b = append(b, `,"args":{"name":"control"}}`...)
+	for _, i := range t.order() {
+		b = appendEvent(b, &t.events[i])
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
-		switch e.Kind {
-		case KindSlice:
-			fmt.Fprintf(bw, `,"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s`,
-				tid(e.Track), tsMicros(int64(e.TS)), tsMicros(int64(e.Dur)))
-		case KindBegin:
-			fmt.Fprintf(bw, `,"ph":"b","pid":0,"tid":%d,"id":"%d","ts":%s`,
-				tid(e.Track), e.ID, tsMicros(int64(e.TS)))
-		case KindEnd:
-			fmt.Fprintf(bw, `,"ph":"e","pid":0,"tid":%d,"id":"%d","ts":%s`,
-				tid(e.Track), e.ID, tsMicros(int64(e.TS)))
-		case KindInstant:
-			fmt.Fprintf(bw, `,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%s`,
-				tid(e.Track), tsMicros(int64(e.TS)))
-		}
-		if len(e.Args) > 0 {
-			writeArgs(bw, e.Args)
-		}
-		io.WriteString(bw, "}")
 	}
-	io.WriteString(bw, "\n]}\n")
-	return bw.Flush()
+	b = append(b, "\n]}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
 type chromeEvent struct {

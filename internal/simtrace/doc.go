@@ -57,10 +57,30 @@
 // result, so shard and dispatch merges reassemble forensics.csv
 // byte-identically with no extra plumbing.
 //
+// # Export
+//
+// WriteChrome emits the track-name metadata, then every event in
+// (TS, Seq) order — simulated time, ties broken by emission order — so
+// the bytes depend only on the capture. It sorts a 4-byte index
+// permutation rather than the events, appends every field into one
+// reused buffer with strconv, and copies strings that need no JSON
+// escaping verbatim; an export allocates a fixed handful of times
+// whatever the event count (a tier-1 test gates this) and leaves the
+// tracer untouched. A fig4 test-scale cell captures about 35 MB of
+// trace.
+//
+// experiments.Registry.Run streams tracers to its OnSimTrace callback:
+// a cell's trace is delivered once it and every cell scheduled before
+// it have completed, and the registry then drops its reference, so a
+// traced run holds only the tracers of cells in flight or waiting on
+// an earlier cell — one at a time with one worker — rather than every
+// cell's until the pool drains.
+//
 // # Loading a trace in Perfetto
 //
 // `perfiso-repro run -simtrace ...` writes one Chrome trace-event
-// JSON file per executed cell under <results>/<scale>/simtrace/.
+// JSON file per executed cell under <results>/<scale>/simtrace/, each
+// written to a temp file and renamed into place only once complete.
 // Open https://ui.perfetto.dev and drag the file in, or load it via
 // chrome://tracing. Core tracks show execution slices; queries appear
 // as async spans; controller decisions are instant markers. The same

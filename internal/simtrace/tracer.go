@@ -1,7 +1,8 @@
 package simtrace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"perfiso/internal/sim"
 )
@@ -53,12 +54,7 @@ const TrackControl = -1
 type Tracer struct {
 	events []Event
 	seq    uint64
-	tracks []trackName
-}
-
-type trackName struct {
-	id   int
-	name string
+	tracks []Track
 }
 
 // New returns an empty tracer.
@@ -74,12 +70,12 @@ func (t *Tracer) NameTrack(id int, name string) {
 		return
 	}
 	for i := range t.tracks {
-		if t.tracks[i].id == id {
-			t.tracks[i].name = name
+		if t.tracks[i].ID == id {
+			t.tracks[i].Name = name
 			return
 		}
 	}
-	t.tracks = append(t.tracks, trackName{id: id, name: name})
+	t.tracks = append(t.tracks, Track{ID: id, Name: name})
 }
 
 func (t *Tracer) push(e Event) {
@@ -129,6 +125,28 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
+// order returns the event indices sorted by (TS, index). Events are
+// appended in Seq order, so the index is the Seq and this is the
+// (TS, Seq) total order; sorting 4-byte indices instead of the events
+// themselves leaves the capture untouched.
+func (t *Tracer) order() []int32 {
+	if t == nil {
+		return nil
+	}
+	ev := t.events
+	perm := make([]int32, len(ev))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(ev[a].TS, ev[b].TS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm
+}
+
 // Events returns the captured events sorted by (TS, Seq). The slice
 // is a copy; the tracer keeps accumulating independently.
 func (t *Tracer) Events() []Event {
@@ -136,34 +154,24 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	for k, i := range t.order() {
+		out[k] = t.events[i]
+	}
 	return out
 }
 
-// Tracks returns the named tracks sorted by id.
-func (t *Tracer) Tracks() []struct {
+// Track is a named track, exported as thread-name metadata.
+type Track struct {
 	ID   int
 	Name string
-} {
+}
+
+// Tracks returns the named tracks sorted by id.
+func (t *Tracer) Tracks() []Track {
 	if t == nil {
 		return nil
 	}
-	out := make([]struct {
-		ID   int
-		Name string
-	}, 0, len(t.tracks))
-	for _, tn := range t.tracks {
-		out = append(out, struct {
-			ID   int
-			Name string
-		}{tn.id, tn.name})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := slices.Clone(t.tracks)
+	slices.SortFunc(out, func(a, b Track) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

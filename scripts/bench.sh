@@ -14,6 +14,11 @@ echo "$raw" >&2
 heapraw=$(go test -run '^$' -bench 'BenchmarkEventHeap' -count 1 -timeout 10m ./internal/sim)
 echo "$heapraw" >&2
 
+# Chrome export of a 100k-event sim trace; allocs/op stays a small
+# constant whatever the event count (TestWriteChromeAllocsConstant).
+chromeraw=$(go test -run '^$' -bench 'BenchmarkWriteChrome' -count 1 -timeout 10m ./internal/simtrace)
+echo "$chromeraw" >&2
+
 # Perf-regression guard: the flat 4-ary heap must stay ahead of the
 # retained container/heap reference. A new/old ns-per-op ratio above
 # 1.2 at either depth is a regression; shared runners are noisy, so the
@@ -94,7 +99,7 @@ fi
 	echo '    "PR 10: BenchmarkStatsOverhead/simtrace prices a live sim-domain tracer (every query span, slice, and controller decision captured); the noop row now also covers the tracing-off nil checks, and this script compares it (plus ReproAll/workers=1) against the committed baseline with a 2% budget before overwriting it"'
 	echo '  ],'
 	echo '  "benchmarks": ['
-	printf '%s\n%s\n' "$raw" "$heapraw" | awk '
+	printf '%s\n%s\n%s\n' "$raw" "$heapraw" "$chromeraw" | awk '
 		/^Benchmark/ {
 			n = split($0, f, /[ \t]+/)
 			printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, f[1], f[2]
