@@ -1,10 +1,11 @@
 package perfiso_test
 
 // One benchmark per table/figure of the paper's evaluation, plus
-// ablations over the design choices DESIGN.md calls out. Each bench
-// regenerates its figure at test scale and reports the headline metric
-// of that figure via b.ReportMetric, so `go test -bench=.` prints the
-// same rows the paper does:
+// ablations over PerfIso's design choices (buffer size, poll cadence,
+// grow holdoff, scheduler quantum). Each bench regenerates its figure
+// at test scale and reports the headline metric of that figure via
+// b.ReportMetric, so `go test -bench=.` prints the same rows the paper
+// does:
 //
 //	BenchmarkFig4NoIsolation      — P99 under the unrestricted bully
 //	BenchmarkFig5BlindIsolation   — P99 degradation with 4/8 buffers
@@ -24,6 +25,7 @@ package perfiso_test
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"runtime"
 	"testing"
 
@@ -113,10 +115,25 @@ func BenchmarkFig7CycleCap(b *testing.B) {
 	}
 }
 
+// benchExperiment runs one registered experiment at spec through the
+// registry on a GOMAXPROCS-wide pool (Workers 0) and returns its typed
+// value.
+func benchExperiment[T any](b *testing.B, spec experiments.ScaleSpec, name string) T {
+	b.Helper()
+	res, err := experiments.DefaultRegistry().Run(experiments.RunOptions{
+		Spec:   spec,
+		Filter: regexp.MustCompile("^" + regexp.QuoteMeta(name) + "$"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Value(name).(T)
+}
+
 func BenchmarkFig8Comparison(b *testing.B) {
 	var f experiments.Fig8
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFig8(2000, benchScale())
+		f = benchExperiment[experiments.Fig8](b, reproSpec(), "fig8")
 	}
 	b.ReportMetric(f.Standalone.Latency.P99Ms, "standalone-p99ms")
 	b.ReportMetric(f.NoIso.Latency.P99Ms, "noiso-p99ms")
@@ -132,7 +149,7 @@ func BenchmarkFig8Comparison(b *testing.B) {
 func BenchmarkFig9Cluster(b *testing.B) {
 	var f experiments.Fig9
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFig9(experiments.TestFig9Scale())
+		f = benchExperiment[experiments.Fig9](b, reproSpec(), "fig9")
 	}
 	b.ReportMetric(f.Standalone.TLA.P99Ms, "standalone-tla-p99ms")
 	b.ReportMetric(f.CPUBound.TLA.P99Ms, "cpu-tla-p99ms")
@@ -143,7 +160,7 @@ func BenchmarkFig9Cluster(b *testing.B) {
 func BenchmarkHarvestFrontier(b *testing.B) {
 	var f experiments.HarvestFrontier
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunHarvestFrontier(experiments.DefaultHarvestScale())
+		f = benchExperiment[experiments.HarvestFrontier](b, reproSpec(), "harvest-frontier")
 	}
 	for _, p := range f.Points {
 		b.ReportMetric(float64(p.TasksCompleted), p.Policy+"-tasks")
@@ -154,7 +171,7 @@ func BenchmarkHarvestFrontier(b *testing.B) {
 func BenchmarkFig10Production(b *testing.B) {
 	var r cluster.ProductionResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunFig10()
+		r = benchExperiment[cluster.ProductionResult](b, reproSpec(), "fig10")
 	}
 	b.ReportMetric(r.AvgCPUUsedPct, "avg-cpu%")
 	b.ReportMetric(r.AvgP99ms, "avg-p99ms")
@@ -164,7 +181,7 @@ func BenchmarkFig10Production(b *testing.B) {
 func BenchmarkHeadlineUtilization(b *testing.B) {
 	var h experiments.Headline
 	for i := 0; i < b.N; i++ {
-		h = experiments.RunHeadline(benchScale())
+		h = benchExperiment[experiments.Headline](b, reproSpec(), "headline")
 	}
 	b.ReportMetric(h.StandaloneUsedPct, "standalone%")
 	b.ReportMetric(h.ColocatedUsedPct, "colocated%")
@@ -174,9 +191,11 @@ func BenchmarkHeadlineUtilization(b *testing.B) {
 func BenchmarkSecondaryProgress(b *testing.B) {
 	for _, qps := range experiments.Loads {
 		b.Run(fmt.Sprintf("qps=%.0f", qps), func(b *testing.B) {
+			spec := reproSpec()
+			spec.Fig8QPS = qps
 			var f experiments.Fig8
 			for i := 0; i < b.N; i++ {
-				f = experiments.RunFig8(qps, benchScale())
+				f = benchExperiment[experiments.Fig8](b, spec, "fig8")
 			}
 			blind, cores, cycles := f.ProgressShares()
 			b.ReportMetric(100*blind, "blind%")
@@ -297,11 +316,11 @@ func BenchmarkDispatchOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBufferCores sweeps B beyond the paper's {4,8}: the
-// DESIGN.md ablation on how much buffer the tail actually needs versus
-// how much harvest it costs. The registered `ablation-buffer`
-// experiment is this sweep's pooled, sharded, RESULTS.md-visible port;
-// the benchmark remains for ad-hoc -benchtime exploration.
+// BenchmarkAblationBufferCores sweeps B beyond the paper's {4,8}: how
+// much buffer the tail actually needs versus how much harvest it
+// costs. The registered `ablation-buffer` experiment is this sweep's
+// pooled, sharded, RESULTS.md-visible port; the benchmark remains for
+// ad-hoc -benchtime exploration.
 func BenchmarkAblationBufferCores(b *testing.B) {
 	for _, buf := range []int{0, 2, 4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("buffer=%d", buf), func(b *testing.B) {

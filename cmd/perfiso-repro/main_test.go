@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -297,6 +298,42 @@ func TestWorkCLI(t *testing.T) {
 	}
 	if _, _, err := shard.Merge(reg, spec, filter, []shard.Partial{p}); err != nil {
 		t.Fatalf("merge of worked partial: %v", err)
+	}
+}
+
+// TestTablesPrintRegistryTables: `run -run … -tables` is how one
+// figure is printed, so each selected experiment's table must appear
+// on stdout byte-equal to the Report.Table a direct registry run
+// renders, in registry order.
+func TestTablesPrintRegistryTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"run", "-scale", "test", "-run", "^(fig9|fig10)$", "-tables",
+		"-results", "", "-report", "", "-quiet",
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	res, err := experiments.DefaultRegistry().Run(experiments.RunOptions{
+		Spec:   experiments.TestSpec(),
+		Filter: regexp.MustCompile(`^(fig9|fig10)$`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Experiments) != 2 {
+		t.Fatalf("registry ran %d experiments, want 2", len(res.Experiments))
+	}
+	rest := out.String()
+	for _, e := range res.Experiments {
+		i := strings.Index(rest, "\n\n"+e.Report.Table+"\n")
+		if i < 0 {
+			t.Fatalf("%s: table missing from stdout (or out of order); want:\n%s\ngot:\n%s", e.Name, e.Report.Table, out.String())
+		}
+		rest = rest[i+len(e.Report.Table):]
 	}
 }
 

@@ -1,13 +1,16 @@
 package perfiso
 
 import (
+	"fmt"
+
 	"perfiso/internal/cluster"
 	"perfiso/internal/experiments"
 )
 
-// The figure runners below regenerate the paper's evaluation. Each
-// accepts a Scale so callers choose between the full published trace
-// (PaperScale, 500k queries) and a fast test-sized run (TestScale).
+// The paper's evaluation runs through the experiment registry
+// (RunExperiments); the per-cell runners below take a Scale so callers
+// choose between the full published trace (PaperScale, 500k queries)
+// and a fast test-sized run (TestScale).
 
 // Scale sizes a single-machine experiment run.
 type Scale = experiments.Scale
@@ -21,30 +24,6 @@ func TestScale() Scale { return experiments.TestScale() }
 // SingleResult is one single-machine experiment cell.
 type SingleResult = experiments.SingleResult
 
-// Fig4Result holds the no-isolation colocation grid of Figs. 4a/4b.
-type Fig4Result = experiments.Fig4
-
-// Fig5Result holds the blind-isolation buffer sweep of Figs. 5a/5b.
-type Fig5Result = experiments.Fig5
-
-// Fig6Result holds the static core-restriction sweep of Figs. 6a/6b.
-type Fig6Result = experiments.Fig6
-
-// Fig7Result holds the cycle-cap sweep of Figs. 7a/7b/7c.
-type Fig7Result = experiments.Fig7
-
-// Fig8Result holds the isolation comparison of Figs. 8a/8b/8c.
-type Fig8Result = experiments.Fig8
-
-// Fig9Result holds the cluster per-layer latencies of Figs. 9a–9c.
-type Fig9Result = experiments.Fig9
-
-// Fig9Scale sizes the cluster experiment.
-type Fig9Scale = experiments.Fig9Scale
-
-// HeadlineResult is the §1 utilization headline (21% → 66%).
-type HeadlineResult = experiments.Headline
-
 // ProductionResult is the Fig. 10 series from the 650-machine fluid
 // model.
 type ProductionResult = cluster.ProductionResult
@@ -52,58 +31,23 @@ type ProductionResult = cluster.ProductionResult
 // ProductionConfig parameterizes the fluid model.
 type ProductionConfig = cluster.ProductionConfig
 
-// RunFig4 reproduces Figs. 4a/4b: standalone vs unrestricted mid/high
-// secondaries at 2,000 and 4,000 QPS.
-func RunFig4(s Scale) Fig4Result { return experiments.RunFig4(s) }
-
-// RunFig5 reproduces Figs. 5a/5b: blind isolation with 4 and 8 buffer
-// cores under the high secondary.
-func RunFig5(s Scale) Fig5Result { return experiments.RunFig5(s) }
-
-// RunFig6 reproduces Figs. 6a/6b: static restriction to 24/16/8 cores.
-func RunFig6(s Scale) Fig6Result { return experiments.RunFig6(s) }
-
-// RunFig7 reproduces Figs. 7a/7b/7c: cycle caps of 45%/25%/5%.
-func RunFig7(s Scale) Fig7Result { return experiments.RunFig7(s) }
-
-// RunFig8 reproduces Figs. 8a/8b/8c: the five-way comparison at the
-// given load (the paper uses 2,000 QPS).
-func RunFig8(qps float64, s Scale) Fig8Result { return experiments.RunFig8(qps, s) }
-
-// RunFig9 reproduces Figs. 9a–9c on the full discrete-event cluster:
-// standalone, CPU-bound and disk-bound secondaries under PerfIso.
-func RunFig9(s Fig9Scale) Fig9Result { return experiments.RunFig9(s) }
-
-// PaperFig9Scale is the full 75-machine §5.3 setup.
-func PaperFig9Scale() Fig9Scale { return experiments.PaperFig9Scale() }
-
-// TestFig9Scale is a reduced topology with the same structure.
-func TestFig9Scale() Fig9Scale { return experiments.TestFig9Scale() }
-
-// RunFig10 reproduces Fig. 10: the 650-machine production hour.
-func RunFig10() ProductionResult { return experiments.RunFig10() }
-
 // RunProduction runs the fluid model with a custom configuration.
 func RunProduction(cfg ProductionConfig) ProductionResult { return cluster.RunProduction(cfg) }
 
 // DefaultProductionConfig mirrors Fig. 10's setup.
 func DefaultProductionConfig() ProductionConfig { return cluster.DefaultProductionConfig() }
 
-// RunHeadline reproduces the §1 headline utilization numbers.
-func RunHeadline(s Scale) HeadlineResult { return experiments.RunHeadline(s) }
-
 // RunColocation is the general single-machine cell: IndexServe at qps
-// colocated with a CPU bully of the given thread count under pol (nil
-// for no isolation).
+// colocated with a CPU bully of bullyThreads threads under pol (nil for
+// no isolation). The bully runs the paper's §6.1 intensities only:
+// 0 (standalone), 24 (mid) or 48 (high); any other count panics.
 func RunColocation(qps float64, bullyThreads int, pol Policy, s Scale) SingleResult {
-	mode := experiments.BullyOff
-	switch {
-	case bullyThreads >= 48:
-		mode = experiments.BullyHigh
-	case bullyThreads > 0:
-		mode = experiments.BullyMid
+	for _, mode := range []experiments.BullyMode{experiments.BullyOff, experiments.BullyMid, experiments.BullyHigh} {
+		if mode.Threads() == bullyThreads {
+			return experiments.RunSingle(qps, mode, pol, s)
+		}
 	}
-	return experiments.RunSingle(qps, mode, pol, s)
+	panic(fmt.Sprintf("perfiso: RunColocation: %d bully threads; valid counts are 0, 24 and 48", bullyThreads))
 }
 
 // ClusterConfig sizes a discrete-event cluster.
@@ -134,33 +78,6 @@ const (
 	SecondaryCPU  = cluster.CPUSecondary
 	SecondaryDisk = cluster.DiskSecondary
 )
-
-// HarvestScale sizes the batch-harvest frontier experiment.
-type HarvestScale = experiments.HarvestScale
-
-// HarvestFrontier is the three-policy batch-throughput vs primary-P99
-// comparison produced by the cluster-wide harvest scheduler.
-type HarvestFrontier = experiments.HarvestFrontier
-
-// HarvestPoint is one policy's cell on the harvest frontier.
-type HarvestPoint = experiments.HarvestPoint
-
-// DefaultHarvestScale is the fast default frontier run (12 machines,
-// a third of them hot).
-func DefaultHarvestScale() HarvestScale { return experiments.DefaultHarvestScale() }
-
-// RunHarvestFrontier runs the batch-harvest experiment once per
-// placement policy (round-robin, least-loaded, harvest-aware).
-func RunHarvestFrontier(s HarvestScale) HarvestFrontier { return experiments.RunHarvestFrontier(s) }
-
-// AblationBuffer is the blind-isolation buffer-size sweep beyond the
-// paper's {4, 8}, at peak load under the high bully.
-type AblationBuffer = experiments.AblationBuffer
-
-// RunAblationBuffer executes the buffer ablation (the registered
-// ablation-buffer experiment additionally shares its baseline and
-// paper points with Figs. 4–8 by cell key).
-func RunAblationBuffer(s Scale) AblationBuffer { return experiments.RunAblationBuffer(s) }
 
 // Experiment is one registered unit of the evaluation: a paper figure
 // or an extension, decomposed into independent seeded cells.
@@ -198,17 +115,3 @@ func PaperSpec() ScaleSpec { return experiments.PaperSpec() }
 func RunExperiments(opts RunOptions) (RunResult, error) {
 	return experiments.DefaultRegistry().Run(opts)
 }
-
-// TimelineConfig parameterizes the single-machine DES timeline (the
-// discrete-event cross-check of the Fig. 10 fluid model).
-type TimelineConfig = experiments.TimelineConfig
-
-// TimelineResult is the timeline series.
-type TimelineResult = experiments.TimelineResult
-
-// DefaultTimelineConfig runs one simulated minute under the diurnal
-// curve.
-func DefaultTimelineConfig() TimelineConfig { return experiments.DefaultTimelineConfig() }
-
-// RunTimeline executes the DES timeline experiment.
-func RunTimeline(cfg TimelineConfig) TimelineResult { return experiments.RunTimeline(cfg) }

@@ -64,11 +64,6 @@ func assembleAblationBuffer(results []any) AblationBuffer {
 	return out
 }
 
-// RunAblationBuffer executes the sweep.
-func RunAblationBuffer(scale Scale) AblationBuffer {
-	return assembleAblationBuffer(RunCells(ablationBufferCells(scale), 0))
-}
-
 // ablationRows flattens a sweep for the artifacts, adding the tail
 // degradation against the standalone baseline each point trades
 // against its harvest.
@@ -151,11 +146,6 @@ func assembleAblationPoll(results []any) AblationPoll {
 	return out
 }
 
-// RunAblationPoll executes the sweep.
-func RunAblationPoll(scale Scale) AblationPoll {
-	return assembleAblationPoll(RunCells(ablationPollCells(scale), 0))
-}
-
 // Table renders the sweep.
 func (a AblationPoll) Table() string {
 	var b strings.Builder
@@ -219,11 +209,6 @@ func assembleAblationHoldoff(results []any) AblationHoldoff {
 		out.Cells[hold] = results[i+1].(SingleResult)
 	}
 	return out
-}
-
-// RunAblationHoldoff executes the sweep.
-func RunAblationHoldoff(scale Scale) AblationHoldoff {
-	return assembleAblationHoldoff(RunCells(ablationHoldoffCells(scale), 0))
 }
 
 // Table renders the sweep; sec% is the harvest each holdoff buys.

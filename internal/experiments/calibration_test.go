@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -9,8 +10,9 @@ import (
 )
 
 // The calibration tests assert the paper's published *shape bands* at
-// test scale. Each cell is expensive, so results are computed once and
-// shared across tests.
+// test scale. Each cell is expensive, so results are computed once, in
+// one registry run whose figures share their standalone baselines by
+// key, and shared across tests.
 var (
 	calOnce sync.Once
 	cal4    Fig4
@@ -24,10 +26,16 @@ func calibrated(t *testing.T) (Fig4, Fig5, Fig8) {
 		t.Skip("calibration runs are long; skipped with -short")
 	}
 	calOnce.Do(func() {
-		scale := TestScale()
-		cal4 = RunFig4(scale)
-		cal5 = RunFig5(scale)
-		cal8 = RunFig8(2000, scale)
+		res, err := DefaultRegistry().Run(RunOptions{
+			Spec:   TestSpec(),
+			Filter: regexp.MustCompile(`^(fig4|fig5|fig8)$`),
+		})
+		if err != nil {
+			panic(err)
+		}
+		cal4 = res.Value("fig4").(Fig4)
+		cal5 = res.Value("fig5").(Fig5)
+		cal8 = res.Value("fig8").(Fig8)
 	})
 	return cal4, cal5, cal8
 }
@@ -170,7 +178,7 @@ func TestHeadlineUtilization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	h := RunHeadline(TestScale())
+	h := runExperiment[Headline](t, TestSpec(), "headline")
 	// §1: 21% → 66% average CPU utilization at off-peak load. Bands
 	// allow simulator offsets while preserving the story.
 	if h.StandaloneUsedPct < 10 || h.StandaloneUsedPct > 35 {

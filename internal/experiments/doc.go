@@ -12,11 +12,11 @@
 // Assemble hook that folds completed cell results back into the
 // figure's typed value and table. Cells share nothing (each builds its
 // own engine from its own seed), so the pool in pool.go executes them
-// concurrently with results bit-identical to a sequential run; the
-// RunFigN convenience wrappers drive their cells through the same
-// pool. Reports
-// flow out three ways: the classic ASCII tables, flat JSON/CSV
-// artifact rows (WriteArtifacts), and the committed markdown
-// reproduction report (RenderMarkdown → RESULTS.md), which CI
-// regenerates and diffs as an evaluation-regression gate.
+// concurrently with results bit-identical to a sequential run.
+// Registry.Run, with its shard and dispatch counterparts, is the one
+// way to execute a registered experiment. Reports flow out three ways:
+// the classic ASCII tables, flat JSON/CSV artifact rows
+// (WriteArtifacts), and the committed markdown reproduction report
+// (RenderMarkdown → RESULTS.md), which CI regenerates and diffs as an
+// evaluation-regression gate.
 package experiments

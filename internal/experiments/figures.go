@@ -85,11 +85,6 @@ func assembleFig4(results []any) Fig4 {
 	return out
 }
 
-// RunFig4 executes the six no-isolation cells.
-func RunFig4(scale Scale) Fig4 {
-	return assembleFig4(RunCells(fig4Cells(scale), 0))
-}
-
 // Fig5 reproduces Figs. 5a/5b: the high secondary under blind isolation
 // with 4 and 8 buffer cores. Keyed [buffer][load]; Baseline carries the
 // standalone runs the degradation is measured against.
@@ -134,11 +129,6 @@ func assembleFig5(results []any) Fig5 {
 		}
 	}
 	return out
-}
-
-// RunFig5 executes the blind-isolation sweep.
-func RunFig5(scale Scale) Fig5 {
-	return assembleFig5(RunCells(fig5Cells(scale), 0))
 }
 
 // Fig6 reproduces Figs. 6a/6b: the high secondary statically restricted
@@ -186,11 +176,6 @@ func assembleFig6(results []any) Fig6 {
 	return out
 }
 
-// RunFig6 executes the static core-restriction sweep.
-func RunFig6(scale Scale) Fig6 {
-	return assembleFig6(RunCells(fig6Cells(scale), 0))
-}
-
 // Fig7 reproduces Figs. 7a/7b/7c: the high secondary restricted to 45%,
 // 25% and 5% of CPU cycles. Keyed [fraction][load].
 type Fig7 struct {
@@ -236,11 +221,6 @@ func assembleFig7(results []any) Fig7 {
 	return out
 }
 
-// RunFig7 executes the cycle-cap sweep.
-func RunFig7(scale Scale) Fig7 {
-	return assembleFig7(RunCells(fig7Cells(scale), 0))
-}
-
 // Fig8 reproduces Figs. 8a/8b/8c: the side-by-side comparison at 2,000
 // QPS with the high secondary — standalone, no isolation, blind
 // isolation (8 buffer cores), static 8 cores, and a 5% cycle cap —
@@ -279,12 +259,6 @@ func assembleFig8(results []any) Fig8 {
 		Cycles:       results[4].(SingleResult),
 		Unrestricted: noiso,
 	}
-}
-
-// RunFig8 executes the comparison at the given load (the paper uses
-// 2,000 QPS; §6.1.4's progress discussion also references 4,000).
-func RunFig8(qps float64, scale Scale) Fig8 {
-	return assembleFig8(RunCells(fig8Cells(qps, scale), 0))
 }
 
 // All lists the Fig. 8 cells in the paper's bar order.
@@ -332,9 +306,4 @@ func assembleHeadline(results []any) Headline {
 		ColocatedUsedPct:  colo.Breakdown.UsedPct(),
 		SecondaryPct:      colo.Breakdown.SecondaryPct,
 	}
-}
-
-// RunHeadline executes the two headline cells.
-func RunHeadline(scale Scale) Headline {
-	return assembleHeadline(RunCells(headlineCells(scale), 0))
 }

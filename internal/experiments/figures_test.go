@@ -9,15 +9,19 @@ import (
 	"perfiso/internal/osmodel"
 )
 
-// tinyScale keeps runner smoke tests fast; shape assertions live in
-// calibration_test.go at the larger TestScale.
-func tinyScale() Scale { return Scale{Queries: 3000, Warmup: 500, Seed: 5} }
+// smokeSpec keeps the single-machine smoke tests fast; shape
+// assertions live in calibration_test.go at the larger TestScale.
+func smokeSpec() ScaleSpec {
+	spec := TestSpec()
+	spec.Single = Scale{Queries: 3000, Warmup: 500, Seed: 5}
+	return spec
+}
 
 func TestRunFig6Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := RunFig6(tinyScale())
+	f := runExperiment[Fig6](t, smokeSpec(), "fig6")
 	if len(f.CoreCounts) != 3 {
 		t.Fatalf("core counts = %v", f.CoreCounts)
 	}
@@ -46,7 +50,7 @@ func TestRunFig7Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := RunFig7(tinyScale())
+	f := runExperiment[Fig7](t, smokeSpec(), "fig7")
 	for _, frac := range f.Fractions {
 		for _, qps := range Loads {
 			r := f.Cells[frac][qps]
@@ -71,9 +75,9 @@ func TestRunFig9Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	scale := TestFig9Scale()
-	scale.Queries, scale.Warmup = 1200, 200
-	f := RunFig9(scale)
+	spec := TestSpec()
+	spec.Cluster.Queries, spec.Cluster.Warmup = 1200, 200
+	f := runExperiment[Fig9](t, spec, "fig9")
 	for name, r := range map[string]cluster.Result{
 		"standalone": f.Standalone, "cpu": f.CPUBound, "disk": f.DiskBound,
 	} {
@@ -99,7 +103,7 @@ func TestRunFig9Smoke(t *testing.T) {
 }
 
 func TestRunFig10Smoke(t *testing.T) {
-	r := RunFig10()
+	r := runExperiment[cluster.ProductionResult](t, TestSpec(), "fig10")
 	if len(r.Samples) != 3600 {
 		t.Fatalf("samples = %d, want 3600 (1h at 1s steps)", len(r.Samples))
 	}

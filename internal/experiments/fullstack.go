@@ -46,11 +46,6 @@ cpu: used %.1f%% (secondary %.1f%%)
 		r.UsedPct, r.SecondaryPct)
 }
 
-// RunFullStack executes the combined scenario at the given load.
-func RunFullStack(qps float64, scale Scale) FullStackResult {
-	return runFullStack(sim.NewEngine(), qps, scale)
-}
-
 // runFullStack is the full-stack cell on eng.
 func runFullStack(eng *sim.Engine, qps float64, scale Scale) FullStackResult {
 	ncfg := node.DefaultConfig()

@@ -7,7 +7,9 @@ func TestFullStackProtectsPrimaryEverywhere(t *testing.T) {
 		t.Skip("long")
 	}
 	base := RunSingle(2000, BullyOff, nil, TestScale())
-	r := RunFullStack(2000, TestScale())
+	spec := TestSpec()
+	spec.FullStackQPS = 2000
+	r := runExperiment[FullStackResult](t, spec, "fullstack")
 
 	// 1) CPU, disk, network and memory pressure all at once: the tail
 	// still holds within the paper's band.

@@ -40,13 +40,6 @@ type HarvestScale struct {
 	// primary-class load; HotspotLoad is its fraction of machine CPU.
 	Hotspots    int
 	HotspotLoad float64
-
-	// FailAt, when positive, fails machine (FailRow, FailCol) at that
-	// simulated time during each policy run, exercising the
-	// requeue-on-failure path.
-	FailAt  sim.Duration
-	FailRow int
-	FailCol int
 }
 
 // DefaultHarvestScale is a fast frontier run: a 6×2 cluster with a
@@ -178,9 +171,6 @@ func runHarvestScenarioWith(eng *sim.Engine, scale HarvestScale, policy string, 
 	sched := svc.Scheduler()
 	feed(sched)
 
-	if scale.FailAt > 0 {
-		eng.At(sim.Time(scale.FailAt), func() { c.FailMachine(scale.FailRow, scale.FailCol) })
-	}
 	rate := scale.RatePerRow * float64(ccfg.Rows)
 
 	// Per-cell time series: sample the scheduler's progress ramp at
@@ -264,12 +254,6 @@ func assembleHarvestFrontier(scale HarvestScale, results []any) HarvestFrontier 
 		f.Points = append(f.Points, r.(HarvestPoint))
 	}
 	return f
-}
-
-// RunHarvestFrontier runs the experiment once per placement policy and
-// returns the frontier.
-func RunHarvestFrontier(scale HarvestScale) HarvestFrontier {
-	return assembleHarvestFrontier(scale, RunCells(harvestCells(scale), 0))
 }
 
 // Table renders the frontier.

@@ -10,7 +10,7 @@ func TestHarvestFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier run is seconds-long; skipped in -short")
 	}
-	f := RunHarvestFrontier(DefaultHarvestScale())
+	f := runExperiment[HarvestFrontier](t, TestSpec(), "harvest-frontier")
 	if len(f.Points) != 3 {
 		t.Fatalf("got %d policy points, want 3", len(f.Points))
 	}

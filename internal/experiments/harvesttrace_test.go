@@ -33,8 +33,7 @@ func TestHarvestTraceFrontierShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier run is seconds-long; skipped in -short")
 	}
-	spec := traceFrontierSpec()
-	f := RunHarvestTraceFrontier(spec)
+	f := runExperiment[HarvestTraceFrontier](t, traceFrontierSpec(), "harvest-trace-frontier")
 	if len(f.Points) != 6 {
 		t.Fatalf("got %d points, want 3 policies × 2 sources", len(f.Points))
 	}

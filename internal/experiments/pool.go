@@ -61,14 +61,6 @@ func RunCell(c Cell, tr *simtrace.Tracer) any {
 	return v
 }
 
-// RunCells executes cells on a pool of workers goroutines and returns
-// their results in cell order. Every cell owns its engine and seed, so
-// the results are bit-identical to a sequential run — parallelism
-// changes only the wall clock. workers <= 0 uses GOMAXPROCS.
-func RunCells(cells []Cell, workers int) []any {
-	return Parallel(len(cells), workers, func(i int) any { return RunCell(cells[i], nil) })
-}
-
 // Parallel calls run(0), …, run(n-1) on a pool of workers goroutines
 // and returns the results in index order. workers <= 0 uses
 // GOMAXPROCS.

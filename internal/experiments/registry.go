@@ -122,8 +122,8 @@ type Row struct {
 	Metrics []Metric
 }
 
-// Report is an experiment's rendered outcome: the human table the
-// figure runners have always printed plus flat rows for artifacts.
+// Report is an experiment's rendered outcome: the human table
+// (`perfiso-repro run -tables` prints it) plus flat rows for artifacts.
 // Series, for experiments that model timelines, carries per-cell time
 // series emitted into series.csv next to the scalar cells.csv;
 // Forensics carries per-cell tail blame tables emitted into

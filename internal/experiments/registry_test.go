@@ -80,8 +80,8 @@ func TestRegistrySelectFilter(t *testing.T) {
 	}
 }
 
-func TestRunCellsEmptyAndPanic(t *testing.T) {
-	if out := RunCells(nil, 4); len(out) != 0 {
+func TestParallelEmptyAndPanic(t *testing.T) {
+	if out := Parallel(0, 4, func(int) any { return 1 }); len(out) != 0 {
 		t.Fatalf("empty run returned %v", out)
 	}
 	defer func() {
@@ -89,7 +89,8 @@ func TestRunCellsEmptyAndPanic(t *testing.T) {
 			t.Fatal("cell panic not propagated")
 		}
 	}()
-	RunCells([]Cell{{Name: "boom", Run: func(*sim.Engine, *simtrace.Tracer) any { panic("boom") }}}, 2)
+	boom := Cell{Name: "boom", Run: func(*sim.Engine, *simtrace.Tracer) any { panic("boom") }}
+	Parallel(1, 2, func(int) any { return RunCell(boom, nil) })
 }
 
 func TestRunNoMatch(t *testing.T) {
@@ -107,6 +108,21 @@ func TestRunNoMatch(t *testing.T) {
 			t.Errorf("no-match error missing %q: %v", want, err)
 		}
 	}
+}
+
+// runExperiment runs one registered experiment at spec through
+// DefaultRegistry().Run — the path every CLI run takes — and returns
+// its typed value.
+func runExperiment[T any](tb testing.TB, spec ScaleSpec, name string) T {
+	tb.Helper()
+	res, err := DefaultRegistry().Run(RunOptions{
+		Spec:   spec,
+		Filter: regexp.MustCompile("^" + regexp.QuoteMeta(name) + "$"),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Value(name).(T)
 }
 
 // tinySpec keeps the determinism test fast: a few thousand queries per
@@ -156,18 +172,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if RenderMarkdown(seq) != RenderMarkdown(par) {
 		t.Error("rendered reports differ between workers=1 and workers=8")
-	}
-
-	// The parallel fig4 must also equal the legacy sequential runner,
-	// and the headline's shared standalone cell must not change its
-	// numbers versus a standalone RunHeadline.
-	f4 := seq.Value("fig4").(Fig4)
-	if legacy := RunFig4(tinySpec().Single); !reflect.DeepEqual(f4, legacy) {
-		t.Error("registry fig4 differs from RunFig4")
-	}
-	h := seq.Value("headline").(Headline)
-	if legacy := RunHeadline(tinySpec().Single); !reflect.DeepEqual(h, legacy) {
-		t.Error("registry headline (shared baseline) differs from RunHeadline")
 	}
 }
 

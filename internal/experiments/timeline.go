@@ -76,9 +76,6 @@ func Diurnal(x float64) float64 {
 	return 0.725 + 0.275*math.Sin(2*math.Pi*(x-0.25))
 }
 
-// RunTimeline executes the DES timeline.
-func RunTimeline(cfg TimelineConfig) TimelineResult { return runTimeline(sim.NewEngine(), cfg) }
-
 // runTimeline is the timeline cell on eng.
 func runTimeline(eng *sim.Engine, cfg TimelineConfig) TimelineResult {
 	if cfg.Duration <= 0 || cfg.Window <= 0 || cfg.PeakQPS <= 0 {

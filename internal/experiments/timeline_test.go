@@ -13,9 +13,10 @@ func TestTimelineTracksCurve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cfg := DefaultTimelineConfig()
-	cfg.Duration = 20 * sim.Second
-	r := RunTimeline(cfg)
+	spec := TestSpec()
+	spec.Timeline.Duration = 20 * sim.Second
+	cfg := spec.Timeline
+	r := runExperiment[TimelineResult](t, spec, "timeline")
 	if len(r.Samples) != 20 {
 		t.Fatalf("windows = %d, want 20", len(r.Samples))
 	}
@@ -49,9 +50,10 @@ func TestTimelineCrossValidatesFluidModel(t *testing.T) {
 	// the fluid model must agree on average utilization within a few
 	// points. This is the calibration bridge that justifies using the
 	// fluid model for Fig. 10's 650×3600 scale.
-	tl := DefaultTimelineConfig()
-	tl.Duration = 30 * sim.Second
-	des := RunTimeline(tl)
+	spec := TestSpec()
+	spec.Timeline.Duration = 30 * sim.Second
+	tl := spec.Timeline
+	des := runExperiment[TimelineResult](t, spec, "timeline")
 
 	fl := cluster.DefaultProductionConfig()
 	fl.Machines = 1
@@ -74,10 +76,10 @@ func TestTimelineStandalone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cfg := DefaultTimelineConfig()
-	cfg.Duration = 10 * sim.Second
-	cfg.BufferCores = 0 // no colocation
-	r := RunTimeline(cfg)
+	spec := TestSpec()
+	spec.Timeline.Duration = 10 * sim.Second
+	spec.Timeline.BufferCores = 0 // no colocation
+	r := runExperiment[TimelineResult](t, spec, "timeline")
 	for _, s := range r.Samples {
 		if s.SecPct != 0 {
 			t.Fatalf("standalone timeline has secondary CPU: %+v", s)
@@ -94,5 +96,7 @@ func TestTimelineInvalidConfigPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	RunTimeline(TimelineConfig{})
+	spec := TestSpec()
+	spec.Timeline = TimelineConfig{}
+	runExperiment[TimelineResult](t, spec, "timeline")
 }

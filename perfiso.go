@@ -24,8 +24,9 @@
 //     (NewEngine), a 48-core production server (NewNode), the
 //     75-machine cluster of §5.3 (NewCluster), and the 650-machine
 //     production fluid model (RunProduction);
-//   - one runner per figure of the evaluation (RunFig4 … RunFig10),
-//     each returning the rows the paper reports.
+//   - the evaluation itself (Figs. 4–10, the §1 headline and the
+//     extensions) as a registry of experiments, run via RunExperiments
+//     and each returning the rows the paper reports.
 //
 // The quickstart in examples/quickstart shows the core loop in ~40
 // lines: build a node, start a CPU bully, wrap it in a controller, and

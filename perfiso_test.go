@@ -68,6 +68,28 @@ func TestRunColocationFacade(t *testing.T) {
 	}
 }
 
+// TestRunColocationBullyThreads pins the facade to the paper's bully
+// intensities: 0, 24 and 48 threads run as labelled, and any other
+// count panics instead of silently running a different bully.
+func TestRunColocationBullyThreads(t *testing.T) {
+	scale := perfiso.Scale{Queries: 200, Warmup: 20, Seed: 7}
+	for threads, want := range map[int]string{0: "standalone", 24: "mid", 48: "high"} {
+		if got := perfiso.RunColocation(2000, threads, nil, scale).Bully; got != want {
+			t.Errorf("RunColocation(%d threads) ran bully %q, want %q", threads, got, want)
+		}
+	}
+	for _, threads := range []int{10, 96} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunColocation(%d threads) did not panic", threads)
+				}
+			}()
+			perfiso.RunColocation(2000, threads, nil, scale)
+		}()
+	}
+}
+
 func TestProductionFacade(t *testing.T) {
 	cfg := perfiso.DefaultProductionConfig()
 	cfg.Machines = 10
