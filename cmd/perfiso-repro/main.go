@@ -35,18 +35,18 @@
 // loops against a coordinator; run -dispatch N is the in-process
 // convenience mode (coordinator plus N workers over loopback HTTP).
 //
-// Observability is opt-in and changes no committed artifact: run
-// -stats folds hot-path counters plus phase and top-cell cost
-// breakdowns into timing.json, run -trace writes a per-cell
-// trace.jsonl (shards embed spans in their partials and merge
-// reassembles the run-wide trace), and serve exposes Prometheus text
-// on /metrics (plus net/http/pprof with -pprof).
+// Every run writes timing.json, whose cells list records each executed
+// cell once (experiment, cell, unit, worker, start, duration and, when
+// dispatched, lease grants). The rest of the observability is opt-in
+// and changes no committed artifact: run -stats folds hot-path
+// counters and the phase breakdown into timing.json, and serve exposes
+// Prometheus text on /metrics (plus net/http/pprof with -pprof).
 //
 // Usage:
 //
 //	perfiso-repro [run] [-list] [-run REGEX] [-scale test|paper]
 //	              [-workers N] [-results DIR] [-report FILE]
-//	              [-shard i/N] [-partial FILE] [-stats] [-trace]
+//	              [-shard i/N] [-partial FILE] [-stats]
 //	              [-tables] [-quiet]
 //
 // Examples:
@@ -58,7 +58,7 @@
 //	perfiso-repro run -scale test -shard 0/3
 //	perfiso-repro merge -scale test -shards results/test/shards
 //	perfiso-repro run -scale test -dispatch 4  # work stealing, one process
-//	perfiso-repro run -scale test -stats -trace
+//	perfiso-repro run -scale test -stats
 //	perfiso-repro manifest -scale test -o m.json
 //	perfiso-repro serve -manifest m.json -addr 0.0.0.0:7413 -stats -pprof
 //	perfiso-repro work -coordinator http://host:7413
@@ -155,10 +155,6 @@ func parseShard(s string) (idx, count int, err error) {
 	return idx, count, nil
 }
 
-// topCellsN bounds the per-cell cost breakdown folded into timing.json
-// by -stats.
-const topCellsN = 10
-
 // startPprof serves net/http/pprof on its own listener when addr is
 // non-empty, so run and work expose profiles without carrying the
 // coordinator's HTTP mux. The returned stop closes the server; a
@@ -244,12 +240,11 @@ func statsTracking(enabled bool) (rec *obs.Recording, stop func()) {
 	}
 }
 
-// foldStats stamps the recorded counters, the phase breakdown and the
-// most expensive cells into the timing sidecar. A nil rec (stats off)
-// leaves the timing untouched, keeping the sidecar byte-compatible
-// with uninstrumented runs.
-func foldStats(timing *experiments.RunTiming, rec *obs.Recording,
-	cellTimings []experiments.CellTiming, phases []experiments.PhaseTiming) {
+// foldStats stamps the recorded counters and the phase breakdown into
+// the timing sidecar. A nil rec (stats off) leaves the timing
+// untouched, keeping the sidecar byte-compatible with uninstrumented
+// runs.
+func foldStats(timing *experiments.RunTiming, rec *obs.Recording, phases []experiments.PhaseTiming) {
 	if rec == nil {
 		return
 	}
@@ -257,20 +252,6 @@ func foldStats(timing *experiments.RunTiming, rec *obs.Recording,
 	s.RNGDraws = sim.RNGDraws()
 	timing.Stats = &s
 	timing.Phases = phases
-	timing.TopCells = experiments.TopCells(cellTimings, topCellsN)
-}
-
-// writeTrace writes the run-wide trace next to timing.json.
-func writeTrace(dir string, spans []obs.Span) error {
-	f, err := os.Create(filepath.Join(dir, "trace.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // figureLinks maps rendered figures to their canonical report links.
@@ -292,10 +273,9 @@ func figureLinks(scale string, figs []report.Figure) []experiments.FigureLink {
 // emitOutputs writes the deterministic artifacts (including the
 // rendered figures), the timing sidecar and the markdown report,
 // honoring the explicit-flag guards that keep filtered or paper-scale
-// runs from clobbering the committed outputs. spans, when non-empty,
-// lands as trace.jsonl next to timing.json.
+// runs from clobbering the committed outputs.
 func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explicit map[string]bool,
-	filterActive bool, resultsDir, reportPath string, tolerance float64, spans []obs.Span, stdout, stderr io.Writer) int {
+	filterActive bool, resultsDir, reportPath string, tolerance float64, stdout, stderr io.Writer) int {
 	spec := res.Spec
 	// Figures render in-memory from the run itself so the report embeds
 	// the same links whether or not artifacts are written.
@@ -322,13 +302,6 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 				filepath.Join(dir, "series.csv"), filepath.Join(dir, "forensics.csv"),
 				filepath.Join(dir, "timing.json"),
 				filepath.Join(dir, "figures"), len(figs))
-			if len(spans) > 0 {
-				if err := writeTrace(dir, spans); err != nil {
-					fmt.Fprintf(stderr, "perfiso-repro: writing trace: %v\n", err)
-					return 1
-				}
-				fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(dir, "trace.jsonl"))
-			}
 		}
 	}
 
@@ -501,8 +474,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	shardSpec := fs.String("shard", "", "execute one shard i/N (zero-based) and write a partial artifact instead of reports")
 	partialPath := fs.String("partial", "", "partial artifact path for -shard (default results/<scale>/shards/shard-<i>-of-<N>.json)")
 	dispatchN := fs.Int("dispatch", 0, "execute via the work-stealing coordinator with N in-process workers (0 = static pool)")
-	stats := fs.Bool("stats", false, "record hot-path counters and fold them (plus phase and top-cell cost breakdowns) into timing.json")
-	traceFlag := fs.Bool("trace", false, "collect one span per executed cell; full runs write trace.jsonl next to timing.json, -shard embeds the spans in the partial")
+	stats := fs.Bool("stats", false, "record hot-path counters and fold them (plus the phase breakdown) into timing.json")
 	simtraceFlag := fs.Bool("simtrace", false, "write per-cell sim-domain Chrome trace-event JSON under results/<scale>/simtrace/ (in-process pool only)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address for the duration of the run (empty disables)")
 	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
@@ -560,13 +532,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	// Counters and tracers observe without participating: the seeded
 	// simulations never read them, so summary.json, cells.csv and
 	// RESULTS.md come out byte-identical with or without
-	// -stats/-trace/-simtrace.
+	// -stats/-simtrace.
 	rec, stopStats := statsTracking(*stats)
 	defer stopStats()
-	var tracer *obs.TraceBuffer
-	if *traceFlag {
-		tracer = obs.NewTraceBuffer()
-	}
 	stopPprof, okPprof := startPprof(*pprofAddr, stderr)
 	if !okPprof {
 		return 1
@@ -597,7 +565,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			Shards:  count,
 			Workers: *workers,
 			OnCell:  onCell,
-			Trace:   *traceFlag,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -623,7 +590,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		// The recording (when -stats) is already the process default,
 		// so the coordinator, the workers and the cell harness pick it
 		// up without explicit plumbing.
-		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN, dispatch.Options{Tracer: tracer}, onCell)
+		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN, dispatch.Options{}, onCell)
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
@@ -635,12 +602,12 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		timing.Source = "dispatched"
 		timing.Dispatch = &dt
-		foldStats(&timing, rec, res.CellTimings, res.Phases)
+		foldStats(&timing, rec, res.Phases)
 		printDispatch(dt, stdout)
 		printRun(res, timing, *tables, stdout)
 		explicit := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance, p.Spans, stdout, stderr)
+		return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance, stdout, stderr)
 	}
 
 	// The manifest hash stamps the artifacts' provenance; building it
@@ -652,7 +619,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	runOpts := experiments.RunOptions{Spec: spec, Workers: *workers, Filter: filter, OnCell: onCell, Tracer: tracer}
+	runOpts := experiments.RunOptions{Spec: spec, Workers: *workers, Filter: filter, OnCell: onCell}
 	var simErr error
 	simCount := 0
 	simDir := filepath.Join(*resultsDir, spec.Name, "simtrace")
@@ -688,16 +655,12 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	res.ManifestHash = m.Hash
 	timing := experiments.TimingOf(res)
-	foldStats(&timing, rec, res.CellTimings, res.Phases)
-	var spans []obs.Span
-	if tracer != nil {
-		spans = tracer.Spans()
-	}
+	foldStats(&timing, rec, res.Phases)
 	printRun(res, timing, *tables, stdout)
 
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	return emitOutputs(res, timing, explicit, filter != nil, *resultsDir, *reportPath, *tolerance, spans, stdout, stderr)
+	return emitOutputs(res, timing, explicit, filter != nil, *resultsDir, *reportPath, *tolerance, stdout, stderr)
 }
 
 // manifestCmd emits the cell manifest (or a shard plan of it) without
@@ -806,10 +769,7 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	// Shards run with -trace embed spans in their partials; the merge
-	// reassembles them into the run-wide trace automatically.
-	return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance,
-		shard.CollectSpans(partials), stdout, stderr)
+	return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance, stdout, stderr)
 }
 
 // printDispatch one-lines how the work-stealing schedule played out.
@@ -840,7 +800,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	reportPath := fs.String("report", "RESULTS.md", "reproduction report path (empty disables)")
 	tolerance := fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged")
 	stats := fs.Bool("stats", false, "record coordinator counters, serve them on /metrics and fold them into timing.json")
-	traceFlag := fs.Bool("trace", false, "collect one span per completed unit and write trace.jsonl next to timing.json")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on -addr")
 	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
 	quiet := fs.Bool("quiet", false, "suppress scheduling events on stderr")
@@ -893,11 +852,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	rec, stopStats := statsTracking(*stats)
 	defer stopStats()
-	var tracer *obs.TraceBuffer
-	if *traceFlag {
-		tracer = obs.NewTraceBuffer()
-		opts.Tracer = tracer
-	}
 	c, err := dispatch.NewCoordinator(m, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -966,9 +920,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 1
 	}
-	if tracer != nil {
-		p.Spans = tracer.Spans()
-	}
 	res, timing, err := shard.Merge(reg, spec, m.Filter, []shard.Partial{p})
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -977,13 +928,13 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	dt := c.Timing()
 	timing.Source = "dispatched"
 	timing.Dispatch = &dt
-	foldStats(&timing, rec, res.CellTimings, res.Phases)
+	foldStats(&timing, rec, res.Phases)
 	printDispatch(dt, stdout)
 	printRun(res, timing, *tables, stdout)
 
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	return emitOutputs(res, timing, explicit, m.Filter != "", *resultsDir, *reportPath, *tolerance, p.Spans, stdout, stderr)
+	return emitOutputs(res, timing, explicit, m.Filter != "", *resultsDir, *reportPath, *tolerance, stdout, stderr)
 }
 
 // workCmd runs claim→heartbeat→upload loops against a coordinator

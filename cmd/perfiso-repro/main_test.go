@@ -66,6 +66,13 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"serve", "-scale", "huge"}, &out, &errb); code != 2 {
 		t.Fatalf("serve with a bad scale: exit %d", code)
 	}
+	// Per-cell timing is always in timing.json's cells; there is no
+	// separate trace flag.
+	for _, cmd := range []string{"run", "serve"} {
+		if code := run([]string{cmd, "-trace"}, &out, &errb); code != 2 {
+			t.Fatalf("%s -trace: exit %d, want 2", cmd, code)
+		}
+	}
 }
 
 // TestZeroMatchFilterListsNames: run, manifest and merge all refuse a

@@ -14,27 +14,63 @@ import (
 	"testing"
 	"time"
 
-	"perfiso/internal/obs"
+	"perfiso/internal/experiments"
 )
 
-// readTraceFile loads and sanity-checks a trace.jsonl artifact.
-func readTraceFile(t *testing.T, path string) []obs.Span {
+// readCells loads timing.json's per-cell records and checks that they
+// hold one labelled row per executed cell. Dispatched runs must also
+// name the unit and count at least one lease grant per row.
+func readCells(t *testing.T, path string, executed int, dispatched bool) []experiments.CellTiming {
 	t.Helper()
-	f, err := os.Open(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	spans, err := obs.ReadTrace(f)
+	var timing struct {
+		Cells []experiments.CellTiming `json:"cells"`
+	}
+	if err := json.Unmarshal(blob, &timing); err != nil {
+		t.Fatal(err)
+	}
+	if len(timing.Cells) != executed || executed == 0 {
+		t.Errorf("%s has %d cells, run executed %d", path, len(timing.Cells), executed)
+	}
+	seen := map[string]bool{}
+	for _, c := range timing.Cells {
+		if c.Experiment == "" || c.Cell == "" || c.Worker == "" || c.Seconds < 0 {
+			t.Errorf("cell missing labels: %+v", c)
+		}
+		if seen[c.Experiment+"/"+c.Cell] {
+			t.Errorf("cell recorded twice: %+v", c)
+		}
+		seen[c.Experiment+"/"+c.Cell] = true
+		if dispatched && (c.Unit == "" || c.Attempts < 1) {
+			t.Errorf("dispatched cell missing unit or attempts: %+v", c)
+		}
+	}
+	return timing.Cells
+}
+
+// cellCount reads the number of executed cells from summary.json.
+func cellCount(t *testing.T, path string) int {
+	t.Helper()
+	var summary struct {
+		CellCount int `json:"cell_count"`
+	}
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spans
+	if err := json.Unmarshal(blob, &summary); err != nil {
+		t.Fatal(err)
+	}
+	return summary.CellCount
 }
 
 // TestStatsTraceByteIdentity is the tentpole's determinism guarantee at
-// the CLI: -stats and -trace change timing.json and add trace.jsonl but
-// leave summary.json, cells.csv and the report byte-identical.
+// the CLI: -stats changes timing.json but leaves summary.json,
+// cells.csv and the report byte-identical, and both runs record every
+// executed cell in timing.json's cells.
 func TestStatsTraceByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -48,7 +84,7 @@ func TestStatsTraceByteIdentity(t *testing.T) {
 		t.Fatalf("plain: exit %d, stderr: %s", code, errb.String())
 	}
 	out.Reset()
-	code = run([]string{"-scale", "test", "-run", filter, "-quiet", "-workers", "2", "-stats", "-trace",
+	code = run([]string{"-scale", "test", "-run", filter, "-quiet", "-workers", "2", "-stats",
 		"-results", filepath.Join(tmp, "instr"), "-report", filepath.Join(tmp, "INSTR.md")}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("instrumented: exit %d, stderr: %s", code, errb.String())
@@ -73,33 +109,14 @@ func TestStatsTraceByteIdentity(t *testing.T) {
 		t.Error("reports differ between plain and instrumented runs")
 	}
 
-	// The plain run must not grow a trace; the instrumented one must
-	// cover every executed cell.
-	if _, err := os.Stat(filepath.Join(tmp, "plain", "test", "trace.jsonl")); !os.IsNotExist(err) {
-		t.Error("uninstrumented run wrote trace.jsonl")
-	}
-	var summary struct {
-		CellCount int `json:"cell_count"`
-	}
-	blob, err := os.ReadFile(filepath.Join(tmp, "instr", "test", "summary.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &summary); err != nil {
-		t.Fatal(err)
-	}
-	spans := readTraceFile(t, filepath.Join(tmp, "instr", "test", "trace.jsonl"))
-	if len(spans) != summary.CellCount || summary.CellCount == 0 {
-		t.Errorf("trace has %d spans, run executed %d cells", len(spans), summary.CellCount)
-	}
-	for _, s := range spans {
-		if s.Experiment == "" || s.Cell == "" || s.Worker == "" {
-			t.Errorf("span missing labels: %+v", s)
-		}
+	// Both runs record every executed cell, instrumented or not.
+	for _, run := range []string{"plain", "instr"} {
+		n := cellCount(t, filepath.Join(tmp, run, "test", "summary.json"))
+		readCells(t, filepath.Join(tmp, run, "test", "timing.json"), n, false)
 	}
 
-	// timing.json carries the folded stats, phase and top-cell
-	// breakdowns only when instrumented.
+	// timing.json carries the folded stats and phase breakdown only
+	// when instrumented.
 	var timing struct {
 		Stats *struct {
 			SimEventsPushed uint64 `json:"sim_events_pushed"`
@@ -109,12 +126,8 @@ func TestStatsTraceByteIdentity(t *testing.T) {
 			Phase   string  `json:"phase"`
 			Seconds float64 `json:"seconds"`
 		} `json:"phases"`
-		TopCells []struct {
-			Cell    string  `json:"cell"`
-			Seconds float64 `json:"seconds"`
-		} `json:"top_cells"`
 	}
-	blob, err = os.ReadFile(filepath.Join(tmp, "instr", "test", "timing.json"))
+	blob, err := os.ReadFile(filepath.Join(tmp, "instr", "test", "timing.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +137,14 @@ func TestStatsTraceByteIdentity(t *testing.T) {
 	if timing.Stats == nil || timing.Stats.SimEventsPushed == 0 || timing.Stats.RNGDraws == 0 {
 		t.Errorf("instrumented timing.json missing live stats: %s", blob)
 	}
-	if len(timing.Phases) == 0 || len(timing.TopCells) == 0 {
-		t.Errorf("instrumented timing.json missing breakdowns: %s", blob)
-	}
-	for i := 1; i < len(timing.TopCells); i++ {
-		if timing.TopCells[i].Seconds > timing.TopCells[i-1].Seconds {
-			t.Errorf("top_cells not sorted by cost: %s", blob)
-		}
+	if len(timing.Phases) == 0 {
+		t.Errorf("instrumented timing.json missing the phase breakdown: %s", blob)
 	}
 	blob, err = os.ReadFile(filepath.Join(tmp, "plain", "test", "timing.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(blob, []byte(`"stats"`)) || bytes.Contains(blob, []byte(`"top_cells"`)) {
+	if bytes.Contains(blob, []byte(`"stats"`)) || bytes.Contains(blob, []byte(`"phases"`)) {
 		t.Errorf("uninstrumented timing.json grew stats sections: %s", blob)
 	}
 }
@@ -161,9 +169,9 @@ func (l *lockedBuffer) String() string {
 }
 
 // TestServeObservability is the dispatched acceptance run: serve with
-// -stats/-trace, a 3-loop work fleet, a /metrics scrape that matches
-// the final timing.json dispatch section, and a merged trace covering
-// every executed unit.
+// -stats, a 3-loop work fleet, a /metrics scrape that matches the
+// final timing.json dispatch section, and timing.json cells covering
+// every executed unit once.
 func TestServeObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -180,7 +188,7 @@ func TestServeObservability(t *testing.T) {
 	serveDone := make(chan int, 1)
 	go func() {
 		serveDone <- run([]string{"serve", "-manifest", manifest, "-addr", "127.0.0.1:0",
-			"-linger", "2s", "-stats", "-trace", "-pprof",
+			"-linger", "2s", "-stats", "-pprof",
 			"-results", filepath.Join(tmp, "out"), "-report", filepath.Join(tmp, "SERVED.md")},
 			sout, serr)
 	}()
@@ -273,11 +281,6 @@ func TestServeObservability(t *testing.T) {
 			Workers      []struct {
 				Claims int `json:"claims"`
 			} `json:"workers"`
-			UnitTimings []struct {
-				Unit    string  `json:"unit"`
-				Worker  string  `json:"worker"`
-				Seconds float64 `json:"seconds"`
-			} `json:"unit_timings"`
 		} `json:"dispatch"`
 		Stats *struct {
 			DispatchClaims uint64 `json:"dispatch_claims"`
@@ -308,27 +311,13 @@ func TestServeObservability(t *testing.T) {
 	if timing.Stats.DispatchClaims != uint64(totalClaims) {
 		t.Errorf("stats section counted %d claims, timing says %d", timing.Stats.DispatchClaims, totalClaims)
 	}
-	if len(dt.UnitTimings) != dt.Units {
-		t.Errorf("unit_timings has %d rows, want %d", len(dt.UnitTimings), dt.Units)
-	}
-
-	// The merged trace covers every executed unit.
-	spans := readTraceFile(t, filepath.Join(tmp, "out", "test", "trace.jsonl"))
-	if len(spans) != dt.Units {
-		t.Errorf("trace has %d spans, run executed %d units", len(spans), dt.Units)
-	}
-	seen := map[string]bool{}
-	for _, s := range spans {
-		if s.Unit == "" || s.Worker == "" || seen[s.Unit] {
-			t.Errorf("bad or duplicate span: %+v", s)
-		}
-		seen[s.Unit] = true
-	}
+	// timing.json's cells cover every executed unit once.
+	readCells(t, filepath.Join(tmp, "out", "test", "timing.json"), dt.Units, true)
 }
 
-// TestShardTraceMergeReassembly: shards run with -trace embed spans in
-// their partials, and the merge reassembles them into one run-wide
-// trace.jsonl.
+// TestShardTraceMergeReassembly: shards record each executed unit in
+// their partials, and the merge reassembles them into timing.json's
+// cells, each attributed to the shard that ran it.
 func TestShardTraceMergeReassembly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -338,7 +327,7 @@ func TestShardTraceMergeReassembly(t *testing.T) {
 	const filter = "^(fig10|headline)$"
 	for i := 0; i < 2; i++ {
 		var out, errb bytes.Buffer
-		code := run([]string{"run", "-scale", "test", "-run", filter, "-quiet", "-trace",
+		code := run([]string{"run", "-scale", "test", "-run", filter, "-quiet",
 			"-shard", fmt.Sprintf("%d/2", i),
 			"-partial", filepath.Join(shards, fmt.Sprintf("s%d.json", i))}, &out, &errb)
 		if code != 0 {
@@ -351,25 +340,13 @@ func TestShardTraceMergeReassembly(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("merge: exit %d, stderr: %s", code, errb.String())
 	}
-	var summary struct {
-		CellCount int `json:"cell_count"`
-	}
-	blob, err := os.ReadFile(filepath.Join(tmp, "merged", "test", "summary.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &summary); err != nil {
-		t.Fatal(err)
-	}
-	spans := readTraceFile(t, filepath.Join(tmp, "merged", "test", "trace.jsonl"))
-	if len(spans) != summary.CellCount || summary.CellCount == 0 {
-		t.Errorf("merged trace has %d spans, run covers %d cells", len(spans), summary.CellCount)
-	}
+	n := cellCount(t, filepath.Join(tmp, "merged", "test", "summary.json"))
+	cells := readCells(t, filepath.Join(tmp, "merged", "test", "timing.json"), n, false)
 	workers := map[string]bool{}
-	for _, s := range spans {
-		workers[s.Worker] = true
+	for _, c := range cells {
+		workers[c.Worker] = true
 	}
 	if len(workers) != 2 {
-		t.Errorf("merged trace attributes spans to %d shards, want 2: %v", len(workers), workers)
+		t.Errorf("merged cells attributed to %d shards, want 2: %v", len(workers), workers)
 	}
 }

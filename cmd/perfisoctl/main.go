@@ -74,8 +74,9 @@ func main() {
 
 	fmt.Printf("\nfinal: %v\n", n.Server.Latency.Summary())
 	fmt.Printf("cpu:   %v\n", n.CPU.Breakdown())
+	tally := eng.Counts().Tally
 	fmt.Printf("blind: %d polls, %d shrinks, %d grows\n",
-		ctrl.Blind.Polls, ctrl.Blind.Shrinks, ctrl.Blind.Grows)
+		ctrl.Blind.Polls, tally.BufferShrinks, tally.BufferGrows)
 }
 
 func fatal(err error) {

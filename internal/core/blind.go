@@ -7,7 +7,6 @@ import (
 	"perfiso/internal/osmodel"
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
-	"perfiso/internal/stats"
 )
 
 // BlindIsolation is CPU blind isolation (§3.1): it polls the idle-core
@@ -51,18 +50,10 @@ type BlindIsolation struct {
 	harvestEWMA    float64
 	harvestAlpha   float64
 
-	// Shrinks and Grows count affinity updates by direction; the paper
-	// separates cheap polling from on-demand updates (§4.1), so these
-	// also measure how rarely updates happen relative to polls.
-	Shrinks uint64
-	Grows   uint64
-	// Polls counts loop iterations.
+	// Polls counts loop iterations. The paper separates cheap polling
+	// from on-demand updates (§4.1); the updates themselves are counted
+	// by direction on the engine's Tally (BufferGrows, BufferShrinks).
 	Polls uint64
-	// AllocSeries samples S over time for Fig.10-style reporting; nil
-	// unless enabled with RecordAllocation.
-	AllocSeries *stats.TimeSeries
-
-	sampleEvery uint64
 
 	// strace records the decisions as sim-time instants when a cell
 	// runs under -simtrace (nil otherwise).
@@ -127,13 +118,6 @@ func (b *BlindIsolation) Harvestable() int { return b.harvestInstant }
 // primary's microsecond-scale bursts.
 func (b *BlindIsolation) SmoothedHarvestable() float64 { return b.harvestEWMA }
 
-// RecordAllocation enables sampling of the secondary allocation every n
-// polls (for time-series plots).
-func (b *BlindIsolation) RecordAllocation(everyPolls uint64) {
-	b.AllocSeries = &stats.TimeSeries{}
-	b.sampleEvery = everyPolls
-}
-
 // Allocated reports S, the secondary's current core grant.
 func (b *BlindIsolation) Allocated() int { return b.allocated }
 
@@ -183,9 +167,9 @@ func (b *BlindIsolation) Stop() { b.stopped = true }
 // Disable is the kill switch (§4.2): the secondary is released to the
 // full machine and the loop idles until Enable. Production debugging
 // uses this to rule PerfIso out as a cause in one step. The grant
-// bookkeeping follows the affinity, so Allocated() and AllocSeries
-// report the full machine — not a stale pre-kill-switch value — while
-// isolation is off.
+// bookkeeping follows the affinity, so Allocated() reports the full
+// machine — not a stale pre-kill-switch value — while isolation is
+// off.
 func (b *BlindIsolation) Disable() {
 	b.enabled = false
 	all := b.os.Cores()
@@ -237,11 +221,6 @@ func (b *BlindIsolation) Poll() {
 			}
 		}
 	}
-	// Sampling continues under the kill switch so the series shows the
-	// full-machine grant instead of a gap with a stale final value.
-	if b.AllocSeries != nil && b.sampleEvery > 0 && b.Polls%b.sampleEvery == 0 {
-		b.AllocSeries.Add(b.os.Now(), float64(b.allocated))
-	}
 }
 
 // apply clamps and installs a new secondary grant. The secondary is
@@ -262,19 +241,17 @@ func (b *BlindIsolation) apply(cores int) {
 	b.job.SetAffinity(cpumodel.TopCores(b.os.Cores(), cores))
 }
 
-// record counts a grant change from the current allocation to cores,
-// on the governor and on the cell's engine, and traces it. apply and
-// Disable both go through here.
+// record counts a grant change from the current allocation to cores
+// on the cell's engine and traces it. apply and Disable both go
+// through here.
 func (b *BlindIsolation) record(cores int) {
 	tally := &b.os.Engine().Tally
 	name := "buffer-grow"
 	switch {
 	case cores < b.allocated:
-		b.Shrinks++
 		tally.BufferShrinks++
 		name = "buffer-shrink"
 	case cores > b.allocated:
-		b.Grows++
 		tally.BufferGrows++
 	default:
 		return

@@ -83,7 +83,7 @@ func TestBlindShrinksImmediatelyOnBurst(t *testing.T) {
 	if got := b.Allocated(); got > 34 {
 		t.Fatalf("allocation = %d a few polls after a 16-thread burst; shrink too slow", got)
 	}
-	if b.Shrinks == 0 {
+	if n.eng.Counts().Tally.BufferShrinks == 0 {
 		t.Fatal("no shrinks recorded")
 	}
 	n.cpu.CheckInvariants()
@@ -108,7 +108,7 @@ func TestBlindSheddingFullDeficitAtOnce(t *testing.T) {
 	primary := n.newPrimary("indexserve")
 	n.runFor(2 * sim.Second)
 	before := b.Allocated()
-	shrinksBefore := b.Shrinks
+	shrinksBefore := n.eng.Counts().Tally.BufferShrinks
 
 	// A 24-thread wakeup leaves idle = 0 on the next poll (16 waiters
 	// beyond the buffer): the deficit B - I = 8 must be shed in ONE
@@ -116,7 +116,7 @@ func TestBlindSheddingFullDeficitAtOnce(t *testing.T) {
 	n.spawnPrimaryBurst(primary, 24, 300*sim.Millisecond)
 	n.runFor(300 * sim.Microsecond) // ~3 polls
 	dropped := before - b.Allocated()
-	newShrinks := b.Shrinks - shrinksBefore
+	newShrinks := n.eng.Counts().Tally.BufferShrinks - shrinksBefore
 	if dropped < 6 {
 		t.Fatalf("only %d cores shed shortly after the burst; want >= 6", dropped)
 	}
@@ -256,8 +256,8 @@ func TestBlindSetBufferRespectsConfiguredMax(t *testing.T) {
 
 // TestBlindDisableReconcilesBookkeeping covers the stale-grant
 // regression: under the kill switch the job owns the whole machine, so
-// Allocated() and the allocation series must say so rather than
-// repeating the last isolated grant.
+// Allocated() must say so, and keep saying so while the loop polls,
+// rather than repeating the last isolated grant.
 func TestBlindDisableReconcilesBookkeeping(t *testing.T) {
 	n := newTestNode(t)
 	job := n.os.CreateJob("secondary")
@@ -265,33 +265,32 @@ func TestBlindDisableReconcilesBookkeeping(t *testing.T) {
 	job.Assign(bully.Proc)
 	cfg := DefaultConfig()
 	b := NewBlindIsolation(n.os, job, cfg)
-	b.RecordAllocation(100)
 	b.Start(cfg.PollInterval)
 	n.runFor(1 * sim.Second)
 	if got := b.Allocated(); got != 40 {
 		t.Fatalf("precondition: allocation = %d, want 40", got)
 	}
 
-	grows := b.Grows
+	grows := n.eng.Counts().Tally.BufferGrows
 	b.Disable()
 	if got := b.Allocated(); got != 48 {
 		t.Fatalf("Allocated() = %d under kill switch, want 48 (full machine)", got)
 	}
-	if b.Grows != grows+1 {
-		t.Fatalf("Disable's affinity update not counted: grows %d -> %d", grows, b.Grows)
+	if got := n.eng.Counts().Tally.BufferGrows; got != grows+1 {
+		t.Fatalf("Disable's affinity update not counted: grows %d -> %d", grows, got)
 	}
 	n.runFor(100 * sim.Millisecond)
-	if got := b.AllocSeries.Max(); got != 48 {
-		t.Fatalf("allocation series max = %.0f while disabled, want 48", got)
+	if got := b.Allocated(); got != 48 {
+		t.Fatalf("Allocated() = %d after 100ms of kill-switch polls, want 48", got)
 	}
 
-	shrinks := b.Shrinks
+	shrinks := n.eng.Counts().Tally.BufferShrinks
 	b.Enable()
 	if got := b.Allocated(); got != 0 {
 		t.Fatalf("Allocated() = %d immediately after Enable, want 0", got)
 	}
-	if b.Shrinks != shrinks+1 {
-		t.Fatalf("Enable's affinity update not counted: shrinks %d -> %d", shrinks, b.Shrinks)
+	if got := n.eng.Counts().Tally.BufferShrinks; got != shrinks+1 {
+		t.Fatalf("Enable's affinity update not counted: shrinks %d -> %d", shrinks, got)
 	}
 	n.runFor(2 * sim.Second)
 	if got := b.Allocated(); got != 40 {
@@ -301,8 +300,7 @@ func TestBlindDisableReconcilesBookkeeping(t *testing.T) {
 
 // TestBlindDisableTracedAndTallied: the kill switch's grant change is
 // a decision like any other, so it must reach the trace as a
-// buffer-grow instant and the cell's engine tally, not only the
-// governor's own counter.
+// buffer-grow instant and the cell's engine tally.
 func TestBlindDisableTracedAndTallied(t *testing.T) {
 	n := newTestNode(t)
 	job := n.os.CreateJob("secondary")
@@ -324,10 +322,6 @@ func TestBlindDisableTracedAndTallied(t *testing.T) {
 		t.Fatalf("Disable traced at %v, want now %v", last.TS, n.eng.Now())
 	}
 	tally := n.eng.Counts().Tally
-	if tally.BufferGrows != b.Grows || tally.BufferShrinks != b.Shrinks {
-		t.Fatalf("engine tally grows/shrinks = %d/%d, governor = %d/%d",
-			tally.BufferGrows, tally.BufferShrinks, b.Grows, b.Shrinks)
-	}
 	grows, shrinks := 0, 0
 	for _, e := range evs {
 		switch e.Name {
@@ -337,8 +331,9 @@ func TestBlindDisableTracedAndTallied(t *testing.T) {
 			shrinks++
 		}
 	}
-	if uint64(grows) != b.Grows || uint64(shrinks) != b.Shrinks {
-		t.Fatalf("traced grows/shrinks = %d/%d, governor counted %d/%d", grows, shrinks, b.Grows, b.Shrinks)
+	if uint64(grows) != tally.BufferGrows || uint64(shrinks) != tally.BufferShrinks {
+		t.Fatalf("traced grows/shrinks = %d/%d, engine tally counted %d/%d",
+			grows, shrinks, tally.BufferGrows, tally.BufferShrinks)
 	}
 }
 
@@ -363,7 +358,8 @@ func TestBlindPollsCheapUpdatesRare(t *testing.T) {
 	// In steady state the update count must be a tiny fraction of polls.
 	n, b, _ := newBlindFixture(t, 8)
 	n.runFor(5 * sim.Second)
-	updates := b.Shrinks + b.Grows
+	tally := n.eng.Counts().Tally
+	updates := tally.BufferShrinks + tally.BufferGrows
 	if b.Polls < 10000 {
 		t.Fatalf("polls = %d over 5s at 100µs, want tens of thousands", b.Polls)
 	}
@@ -379,14 +375,20 @@ func TestBlindAllocationSeries(t *testing.T) {
 	job.Assign(bully.Proc)
 	cfg := DefaultConfig()
 	b := NewBlindIsolation(n.os, job, cfg)
-	b.RecordAllocation(100)
 	b.Start(cfg.PollInterval)
+	// Sample the grant every 100 polls, as a cell's sampler would.
+	samples, peak := 0, 0
+	n.eng.Ticker(100*cfg.PollInterval, func() bool {
+		samples++
+		peak = max(peak, b.Allocated())
+		return true
+	})
 	n.runFor(1 * sim.Second)
-	if b.AllocSeries.Len() == 0 {
-		t.Fatal("no allocation samples recorded")
+	if samples == 0 || peak == 0 {
+		t.Fatalf("no allocation sampled (%d samples, peak %d)", samples, peak)
 	}
-	if b.AllocSeries.Max() > 40 {
-		t.Fatalf("allocation series max = %.0f, beyond cores-buffer", b.AllocSeries.Max())
+	if peak > 40 {
+		t.Fatalf("allocation peak = %d, beyond cores-buffer", peak)
 	}
 }
 

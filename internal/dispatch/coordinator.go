@@ -42,9 +42,6 @@ type Options struct {
 	// Stats counts coordinator decisions (claims, steals, lease
 	// expiries, stale uploads). Nil means the process-wide default.
 	Stats *obs.Recording
-	// Tracer, when set, collects one span per completed unit so a
-	// dispatched run can be reassembled into a run-wide trace.
-	Tracer *obs.TraceBuffer
 
 	// now substitutes the clock in tests.
 	now func() time.Time
@@ -60,15 +57,13 @@ const (
 
 // unitState is the coordinator's book-keeping for one unit.
 type unitState struct {
-	unit      shard.Unit
-	status    unitStatus
-	attempts  int       // lease grants so far
-	worker    string    // current lease holder when leased
-	expires   time.Time // lease deadline when leased
-	last      string    // previous holder, for steal accounting
-	claimedAt time.Time // when the winning lease was granted
-	uploader  string    // worker whose result was accepted
-	cell      shard.PartialCell
+	unit     shard.Unit
+	status   unitStatus
+	attempts int       // lease grants so far
+	worker   string    // current lease holder when leased
+	expires  time.Time // lease deadline when leased
+	last     string    // previous holder, for steal accounting
+	cell     shard.PartialCell
 }
 
 // Coordinator owns a manifest's unit queue and lease table and speaks
@@ -230,7 +225,6 @@ func (c *Coordinator) claim(worker string) claimResponse {
 		s.worker = worker
 		s.attempts++
 		s.expires = now.Add(c.opts.LeaseTTL)
-		s.claimedAt = now
 		w := c.worker(worker)
 		w.Claims++
 		c.opts.Stats.Claim()
@@ -296,7 +290,9 @@ func (e *uploadError) Error() string { return e.msg }
 
 // upload records a completed unit. First result wins — results are
 // deterministic, so whichever execution finished first is the result;
-// a second upload for the same unit is stale and rejected.
+// a second upload for the same unit is stale and rejected. The winner
+// may hold an expired lease, so its start is derived from the upload
+// time and its own execution time, not from the latest grant.
 func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,24 +315,16 @@ func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell
 		return &uploadError{http.StatusConflict, fmt.Sprintf(
 			"unit %s already completed by another worker", cell.Unit)}
 	}
+	cell.Worker = worker
+	cell.StartSeconds = c.opts.now().Sub(c.started).Seconds() - cell.Seconds
+	cell.Attempts = s.attempts
 	s.status = unitDone
 	s.worker = ""
-	s.uploader = worker
 	s.cell = cell
 	c.doneCount++
 	w := c.worker(worker)
 	w.Units++
 	w.Seconds += cell.Seconds
-	if c.opts.Tracer != nil {
-		c.opts.Tracer.Add(obs.Span{
-			Experiment: cell.Experiment,
-			Cell:       cell.Cell,
-			Unit:       cell.Unit,
-			Worker:     worker,
-			StartMs:    float64(s.claimedAt.Sub(c.started)) / float64(time.Millisecond),
-			DurationMs: cell.Seconds * 1e3,
-		})
-	}
 	c.log("unit uploaded",
 		"unit", cell.Unit, "worker", worker, "seconds", cell.Seconds,
 		"done", c.doneCount, "total", len(c.states))
@@ -403,19 +391,6 @@ func (c *Coordinator) Timing() experiments.DispatchTiming {
 	sort.Strings(names)
 	for _, name := range names {
 		t.Workers = append(t.Workers, *c.workers[name])
-	}
-	for _, s := range c.states {
-		if s.status != unitDone {
-			continue
-		}
-		t.UnitTimings = append(t.UnitTimings, experiments.DispatchUnit{
-			Unit:       s.unit.ID,
-			Experiment: s.cell.Experiment,
-			Cell:       s.cell.Cell,
-			Worker:     s.uploader,
-			Attempts:   s.attempts,
-			Seconds:    s.cell.Seconds,
-		})
 	}
 	return t
 }

@@ -187,6 +187,55 @@ func TestLeaseExpiryRequeueAndSteal(t *testing.T) {
 	}
 }
 
+// TestStolenUnitStartCreditedToUploader: when a worker whose lease
+// expired still uploads first, the accepted record is that worker's
+// execution. Its start is the upload time minus its own execution
+// time, not the time of the latest grant (the thief's), which would
+// put the end of the execution after the upload.
+func TestStolenUnitStartCreditedToUploader(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	m := fakeManifest()
+	c, err := NewCoordinator(m, Options{LeaseTTL: time.Second, MaxAttempts: 3, now: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := c.claim("slow"); r.Cell != "big" {
+		t.Fatalf("slow claim: %+v", r)
+	}
+	clock.advance(1200 * time.Millisecond)
+	if r := c.claim("thief"); r.Cell != "big" || r.Attempt != 2 {
+		t.Fatalf("steal claim: %+v", r)
+	}
+	clock.advance(300 * time.Millisecond)
+	big := shard.PartialCell{Unit: "cell:e/big", Experiment: "e", Cell: "big", Result: []byte("{}"), Seconds: 1.5}
+	if err := c.upload("slow", m.Hash, big); err != nil {
+		t.Fatalf("expired-lease upload: %v", err)
+	}
+	var ue *uploadError
+	if err := c.upload("thief", m.Hash, big); !errors.As(err, &ue) || ue.status != http.StatusConflict {
+		t.Fatalf("thief's upload after the slow worker's: %v", err)
+	}
+	for _, cell := range []string{"small", "mid"} {
+		if err := c.upload("thief", m.Hash, shard.PartialCell{Unit: "cell:e/" + cell, Experiment: "e", Cell: cell, Result: []byte("{}")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := c.Partial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := p.Cells[1] // manifest order: small, big, mid
+	if got.Unit != "cell:e/big" || got.Worker != "slow" || got.Attempts != 2 || got.Seconds != 1.5 {
+		t.Fatalf("accepted record: %+v", got)
+	}
+	if got.StartSeconds != 0 {
+		t.Errorf("slow worker's execution starts at %vs, want 0 (it ran 1.5s and uploaded at 1.5s)", got.StartSeconds)
+	}
+	if end := got.StartSeconds + got.Seconds; end > 1.5 {
+		t.Errorf("execution ends at %vs, after its own upload at 1.5s", end)
+	}
+}
+
 // TestPoisonedUnitFailsRun: a unit that exhausts MaxAttempts fails the
 // run, naming the unit, and subsequent claims and worker loops see the
 // failure.

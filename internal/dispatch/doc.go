@@ -72,7 +72,8 @@
 // cmd/perfiso-repro exposes the subsystem as the serve and work
 // subcommands plus the run -dispatch N in-process convenience mode;
 // the dispatch section of timing.json records how the schedule played
-// out, per unit and per worker.
+// out per worker, and timing.json's cells list records each unit's
+// accepted execution: worker, start, duration and lease grants.
 //
 // # Observability
 //
@@ -81,8 +82,10 @@
 // the values are read from the same book-keeping as Timing, so a
 // scrape always matches timing.json's dispatch section. Scheduling
 // events are logged through Options.Log as structured log/slog
-// records with worker/unit/lease fields, decisions are counted
-// through Options.Stats (see internal/obs), and Options.Tracer
-// collects one trace span per completed unit for the run-wide
-// trace.jsonl.
+// records with worker/unit/lease fields, and decisions are counted
+// through Options.Stats (see internal/obs). The coordinator stamps
+// each accepted upload with its worker, its lease grants and its start
+// (upload time minus execution time, measured from the coordinator's
+// start), so Partial carries the per-unit record that shard.Merge
+// writes as timing.json's cells.
 package dispatch

@@ -93,8 +93,5 @@ func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern str
 	if err != nil {
 		return shard.Partial{}, c.Timing(), errors.Join(append([]error{err}, errs...)...)
 	}
-	if opts.Tracer != nil {
-		p.Spans = opts.Tracer.Spans()
-	}
 	return p, c.Timing(), nil
 }

@@ -30,9 +30,10 @@ func metricValue(t *testing.T, ms []obs.Metric, name, worker string) float64 {
 }
 
 // TestDispatchObservability is the observability acceptance property:
-// a dispatched multi-worker run produces a trace covering every
-// executed unit exactly once, and the /metrics values match the run's
-// timing.json dispatch section because both read the same books.
+// a dispatched multi-worker run records every executed unit exactly
+// once in the partial's cells, fully attributed, and the /metrics
+// values match the run's timing.json dispatch section because both
+// read the same books.
 func TestDispatchObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -44,8 +45,7 @@ func TestDispatchObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecording()
-	tracer := obs.NewTraceBuffer()
-	c, err := NewCoordinator(runner.Manifest, Options{Stats: rec, Tracer: tracer})
+	c, err := NewCoordinator(runner.Manifest, Options{Stats: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,36 +79,29 @@ func TestDispatchObservability(t *testing.T) {
 	units := runner.Units()
 	dt := c.Timing()
 
-	// Every executed unit appears in the trace exactly once, fully
-	// labeled.
-	spans := tracer.Spans()
-	if len(spans) != len(units) {
-		t.Fatalf("trace has %d spans, manifest has %d units", len(spans), len(units))
+	// Every executed unit appears in the partial exactly once, fully
+	// labeled and attributed to the worker whose upload was accepted.
+	p, err := c.Partial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Cells) != len(units) {
+		t.Fatalf("partial has %d cells, manifest has %d units", len(p.Cells), len(units))
 	}
 	seen := map[string]bool{}
-	for _, s := range spans {
-		if _, ok := runner.Unit(s.Unit); !ok {
-			t.Errorf("span names unknown unit %q", s.Unit)
+	for _, pc := range p.Cells {
+		if _, ok := runner.Unit(pc.Unit); !ok {
+			t.Errorf("cell names unknown unit %q", pc.Unit)
 		}
-		if seen[s.Unit] {
-			t.Errorf("unit %s traced twice", s.Unit)
+		if seen[pc.Unit] {
+			t.Errorf("unit %s recorded twice", pc.Unit)
 		}
-		seen[s.Unit] = true
-		if s.Worker == "" || s.Experiment == "" || s.Cell == "" {
-			t.Errorf("span missing labels: %+v", s)
+		seen[pc.Unit] = true
+		if pc.Worker == "" || pc.Experiment == "" || pc.Cell == "" || pc.Attempts < 1 {
+			t.Errorf("cell missing attribution: %+v", pc)
 		}
-		if s.DurationMs < 0 {
-			t.Errorf("span duration negative: %+v", s)
-		}
-	}
-
-	// The per-unit timing breakdown also covers everything.
-	if len(dt.UnitTimings) != len(units) {
-		t.Fatalf("timing has %d unit rows, want %d", len(dt.UnitTimings), len(units))
-	}
-	for _, u := range dt.UnitTimings {
-		if u.Worker == "" || u.Attempts < 1 {
-			t.Errorf("unit timing missing attribution: %+v", u)
+		if pc.Seconds < 0 {
+			t.Errorf("cell duration negative: %+v", pc)
 		}
 	}
 

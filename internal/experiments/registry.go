@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"perfiso/internal/obs"
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
 	"perfiso/internal/workload"
@@ -259,8 +258,6 @@ type RunOptions struct {
 	// OnCell, when set, is called after each cell completes. Calls are
 	// serialized.
 	OnCell func(experiment, cell string, elapsed time.Duration)
-	// Tracer, when set, collects one span per executed cell.
-	Tracer *obs.TraceBuffer
 	// OnSimTrace, when set, hands a sim-domain tracer to every cell and
 	// delivers each non-empty trace in deterministic scheduling order
 	// (the cost-sorted order the pool launches cells in): a cell's trace
@@ -308,8 +305,9 @@ type RunResult struct {
 	// SequentialSeconds sums every cell's wall-clock — the sequential
 	// baseline the pool's speedup is measured against.
 	SequentialSeconds float64
-	// CellTimings lists each executed cell's wall-clock cost, in
-	// completion order.
+	// CellTimings lists each executed cell's wall-clock record, in
+	// completion order for an in-process run and in manifest unit
+	// order for a merged one; timing.json writes it as cells.
 	CellTimings []CellTiming
 	// Phases breaks the run's wall time into enumerate/execute/assemble.
 	Phases []PhaseTiming
@@ -415,20 +413,12 @@ func (r *Registry) Run(opts RunOptions) (RunResult, error) {
 		expName := selected[slots[i][0].exp].Name
 		cellSec[slots[i][0].exp] += d.Seconds()
 		timings = append(timings, CellTiming{
-			Experiment: expName,
-			Cell:       flat[i].Name,
-			Worker:     fmt.Sprintf("pool/%d", worker),
-			Seconds:    d.Seconds(),
+			Experiment:   expName,
+			Cell:         flat[i].Name,
+			Worker:       fmt.Sprintf("pool/%d", worker),
+			StartSeconds: cellStart.Sub(start).Seconds(),
+			Seconds:      d.Seconds(),
 		})
-		if opts.Tracer != nil {
-			opts.Tracer.Add(obs.Span{
-				Experiment: expName,
-				Cell:       flat[i].Name,
-				Worker:     fmt.Sprintf("pool/%d", worker),
-				StartMs:    float64(cellStart.Sub(start)) / 1e6,
-				DurationMs: d.Seconds() * 1e3,
-			})
-		}
 		if opts.OnCell != nil {
 			opts.OnCell(expName, flat[i].Name, d)
 		}

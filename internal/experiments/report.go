@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -138,21 +137,6 @@ type DispatchWorker struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// DispatchUnit is one unit's execution record in a dispatched run, so
-// steal/requeue cost is attributable to specific units.
-type DispatchUnit struct {
-	Unit       string `json:"unit"`
-	Experiment string `json:"experiment"`
-	Cell       string `json:"cell"`
-	// Worker is the worker whose upload was accepted.
-	Worker string `json:"worker"`
-	// Attempts counts lease grants this unit needed (>1 means a lease
-	// expired or the unit was stolen along the way).
-	Attempts int `json:"attempts"`
-	// Seconds is the accepted execution's wall time.
-	Seconds float64 `json:"seconds"`
-}
-
 // DispatchTiming records the dynamic scheduling of a dispatched run:
 // how the coordinator's work-stealing queue actually played out. Like
 // the rest of timing.json it is observational — claim order and worker
@@ -170,18 +154,28 @@ type DispatchTiming struct {
 	// already completed the unit.
 	StaleUploads int              `json:"stale_uploads"`
 	Workers      []DispatchWorker `json:"workers"`
-	// UnitTimings lists per-unit execution records in manifest order.
-	UnitTimings []DispatchUnit `json:"unit_timings,omitempty"`
 }
 
-// CellTiming is one cell's wall-clock cost within a run.
+// CellTiming is one executed cell's wall-clock record: the only
+// per-cell timing a run keeps, written as timing.json's cells list
+// whichever path ran the cell.
 type CellTiming struct {
 	Experiment string `json:"experiment"`
 	Cell       string `json:"cell"`
+	// Unit is the manifest unit that ran the cell (sharded and
+	// dispatched runs only).
+	Unit string `json:"unit,omitempty"`
 	// Worker identifies who executed the cell: a pool goroutine index
-	// for in-process runs, a worker name for dispatched ones.
-	Worker  string  `json:"worker,omitempty"`
-	Seconds float64 `json:"seconds"`
+	// for in-process runs, the shard for static shards, a worker name
+	// for dispatched ones.
+	Worker string `json:"worker,omitempty"`
+	// StartSeconds is when the cell started, measured from the start of
+	// the run, shard or coordinator that executed it.
+	StartSeconds float64 `json:"start_seconds"`
+	Seconds      float64 `json:"seconds"`
+	// Attempts counts the lease grants a dispatched unit needed (>1
+	// means a lease expired or the unit was stolen along the way).
+	Attempts int `json:"attempts,omitempty"`
 }
 
 // PhaseTiming is the wall time of one run phase (enumerate, execute,
@@ -189,27 +183,6 @@ type CellTiming struct {
 type PhaseTiming struct {
 	Phase   string  `json:"phase"`
 	Seconds float64 `json:"seconds"`
-}
-
-// TopCells returns the n most expensive cells, most expensive first
-// (ties broken by experiment/cell for determinism). The input is not
-// modified.
-func TopCells(cells []CellTiming, n int) []CellTiming {
-	out := make([]CellTiming, len(cells))
-	copy(out, cells)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Seconds != out[b].Seconds {
-			return out[a].Seconds > out[b].Seconds
-		}
-		if out[a].Experiment != out[b].Experiment {
-			return out[a].Experiment < out[b].Experiment
-		}
-		return out[a].Cell < out[b].Cell
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 // RunTiming is the non-deterministic side of a run — wall clocks,
@@ -225,15 +198,16 @@ type RunTiming struct {
 	ElapsedSeconds    float64       `json:"elapsed_seconds"`
 	SequentialSeconds float64       `json:"sequential_seconds"`
 	Shards            []ShardTiming `json:"shards,omitempty"`
+	// Cells lists every executed cell once: in completion order for
+	// in-process runs, in manifest unit order for merged and
+	// dispatched ones.
+	Cells []CellTiming `json:"cells"`
 	// Dispatch, for dispatched runs, records the work-stealing
 	// schedule: per-worker unit counts and steal/requeue totals.
 	Dispatch *DispatchTiming `json:"dispatch,omitempty"`
 	// Phases breaks the run's wall time down by phase (populated with
 	// -stats).
 	Phases []PhaseTiming `json:"phases,omitempty"`
-	// TopCells lists the most expensive cells by wall time (populated
-	// with -stats).
-	TopCells []CellTiming `json:"top_cells,omitempty"`
 	// Stats is the obs recording's counter snapshot (populated
 	// with -stats).
 	Stats *obs.Snapshot `json:"stats,omitempty"`
@@ -246,6 +220,7 @@ func TimingOf(res RunResult) RunTiming {
 		Workers:           res.Workers,
 		ElapsedSeconds:    res.Elapsed.Seconds(),
 		SequentialSeconds: res.SequentialSeconds,
+		Cells:             res.CellTimings,
 	}
 }
 

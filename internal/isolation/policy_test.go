@@ -171,7 +171,7 @@ func TestBlindRespondsToPrimaryLoad(t *testing.T) {
 	if after >= before {
 		t.Fatalf("allocation did not shrink under primary load: before=%d after=%d", before, after)
 	}
-	if p.Governor().Shrinks == 0 {
+	if eng.Counts().Tally.BufferShrinks == 0 {
 		t.Fatal("no shrink operations recorded")
 	}
 }

@@ -1,5 +1,7 @@
 // Package obs is the harness-side instrumentation layer: run-wide
-// counters, per-cell wall-clock spans, and Prometheus-text rendering.
+// counters and Prometheus-text rendering. Per-cell wall time is not
+// kept here: every run records it once, as experiments.CellTiming,
+// and writes it as timing.json's cells list.
 //
 // # Counters
 //
@@ -31,15 +33,4 @@
 // Metrics renders it for the /metrics endpoints of `perfiso-repro
 // serve` and `work`. Counting never feeds back into a simulation, so
 // results are byte-identical with it on or off.
-//
-// # Trace spans
-//
-// Span is one cell execution: which experiment/cell (and, for
-// dispatched runs, which unit and worker) ran when and for how long.
-// The experiment pool, the static shard runner and the dispatch
-// coordinator append spans to a TraceBuffer when tracing is enabled
-// (`-trace`), and the merge step reassembles the buffers of a sharded
-// run into one run-wide trace.jsonl. Like timing.json, traces are
-// observational: they never feed back into results and carry no
-// byte-identity guarantee.
 package obs

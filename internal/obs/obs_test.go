@@ -113,43 +113,6 @@ func TestRecordingConcurrent(t *testing.T) {
 	}
 }
 
-func TestTraceBufferRoundTrip(t *testing.T) {
-	buf := NewTraceBuffer()
-	buf.Add(Span{Experiment: "fig10", Cell: "b", StartMs: 5, DurationMs: 2})
-	buf.Add(Span{Experiment: "fig10", Cell: "a", StartMs: 5, DurationMs: 1})
-	buf.Add(Span{Experiment: "headline", Cell: "x", Unit: "u3", Worker: "w1", StartMs: 1, DurationMs: 4})
-	if buf.Len() != 3 {
-		t.Fatalf("len = %d, want 3", buf.Len())
-	}
-
-	spans := buf.Spans()
-	if spans[0].Cell != "x" || spans[1].Cell != "a" || spans[2].Cell != "b" {
-		t.Fatalf("spans not in deterministic order: %+v", spans)
-	}
-
-	var out bytes.Buffer
-	if err := WriteJSONL(&out, spans); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(out.String(), "\n"); got != 3 {
-		t.Fatalf("jsonl lines = %d, want 3", got)
-	}
-	back, err := ReadTrace(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 3 || back[0] != spans[0] || back[2] != spans[2] {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-}
-
-func TestReadTraceBadLine(t *testing.T) {
-	_, err := ReadTrace(strings.NewReader("{\"experiment\":\"a\"}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 parse error, got %v", err)
-	}
-}
-
 func TestWriteProm(t *testing.T) {
 	var out bytes.Buffer
 	err := WriteProm(&out, []Metric{

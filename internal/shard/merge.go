@@ -5,20 +5,7 @@ import (
 	"strings"
 
 	"perfiso/internal/experiments"
-	"perfiso/internal/obs"
 )
-
-// CollectSpans gathers every partial's trace spans into one run-wide
-// trace, deterministically ordered. Partials produced without tracing
-// contribute nothing.
-func CollectSpans(partials []Partial) []obs.Span {
-	var out []obs.Span
-	for _, p := range partials {
-		out = append(out, p.Spans...)
-	}
-	obs.SortSpans(out)
-	return out
-}
 
 // Merge verifies a set of shard partials against the manifest of
 // (spec, pattern) and reassembles the run they cover. The coverage
@@ -94,18 +81,21 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 		return zero, zt, fmt.Errorf("shard: merge: %d of %d manifest units missing from the partial set: %s", len(missing), len(units), strings.Join(missing, ", "))
 	}
 
-	// Per-cell timings in manifest unit order, attributed to the shard
-	// that executed each unit.
-	var cellTimings []experiments.CellTiming
-	for i := range units {
-		pc := got[i]
-		cellTimings = append(cellTimings, experiments.CellTiming{
-			Experiment: pc.Experiment,
-			Cell:       pc.Cell,
-			Worker:     fmt.Sprintf("shard-%d", partials[owner[i]].Shard),
-			Seconds:    pc.Seconds,
-		})
+	// Per-cell timings in manifest unit order, so the list does not
+	// depend on which partial arrived first.
+	cellTimings := make([]experiments.CellTiming, len(units))
+	for i, pc := range got {
+		cellTimings[i] = experiments.CellTiming{
+			Experiment:   pc.Experiment,
+			Cell:         pc.Cell,
+			Unit:         pc.Unit,
+			Worker:       pc.Worker,
+			StartSeconds: pc.StartSeconds,
+			Seconds:      pc.Seconds,
+			Attempts:     pc.Attempts,
+		}
 	}
+	timing.Cells = cellTimings
 
 	// Decode every logical cell through its experiment's hook and
 	// assemble, mirroring Registry.Run: results index-aligned with the

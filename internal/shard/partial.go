@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"perfiso/internal/experiments"
-	"perfiso/internal/obs"
 )
 
 // PartialVersion versions the partial artifact encoding.
@@ -28,6 +27,14 @@ type PartialCell struct {
 	Result json.RawMessage `json:"result"`
 	// Seconds is the cell's wall clock on the shard worker.
 	Seconds float64 `json:"seconds"`
+	// Worker, StartSeconds and Attempts record who executed the unit,
+	// when it started (from the start of the shard or coordinator) and
+	// how many lease grants it took; Merge turns them into timing.json's
+	// cells. RunUnits stamps the first two, the dispatch coordinator
+	// all three on the upload it accepts.
+	Worker       string  `json:"worker,omitempty"`
+	StartSeconds float64 `json:"start_seconds"`
+	Attempts     int     `json:"attempts,omitempty"`
 }
 
 // Partial is one shard's output: everything Merge needs to verify
@@ -42,9 +49,6 @@ type Partial struct {
 	Workers        int           `json:"workers"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 	Cells          []PartialCell `json:"cells"`
-	// Spans, when the shard ran with tracing, carries one trace span
-	// per executed unit so a merge can reassemble the run-wide trace.
-	Spans []obs.Span `json:"spans,omitempty"`
 }
 
 // RunShardOptions parameterizes one shard execution.
@@ -60,8 +64,6 @@ type RunShardOptions struct {
 	// OnCell, when set, is called after each cell completes. Calls are
 	// serialized.
 	OnCell func(experiment, cell string, elapsed time.Duration)
-	// Trace embeds one span per executed unit into the partial.
-	Trace bool
 }
 
 // RunShard builds the manifest, plans it, and executes this shard's
@@ -82,19 +84,11 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 		return Partial{}, err
 	}
 	mine := plan.Shards[opts.Shard].Units
-	var tracer *obs.TraceBuffer
-	if opts.Trace {
-		tracer = obs.NewTraceBuffer()
-	}
 	start := time.Now() //perfiso:allow walltime shard wall time feeds timing.json only
-	cells, err := r.RunUnits(mine, opts.Workers, opts.OnCell, tracer,
+	cells, err := r.RunUnits(mine, opts.Workers, opts.OnCell,
 		fmt.Sprintf("shard-%d/%d", opts.Shard, opts.Shards))
 	if err != nil {
 		return Partial{}, err
-	}
-	var spans []obs.Span
-	if tracer != nil {
-		spans = tracer.Spans()
 	}
 	return Partial{
 		Version:        PartialVersion,
@@ -106,7 +100,6 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 		Workers:        experiments.PoolSize(opts.Workers, len(mine)),
 		ElapsedSeconds: time.Since(start).Seconds(), //perfiso:allow walltime shard wall time feeds timing.json only
 		Cells:          cells,
-		Spans:          spans,
 	}, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"perfiso/internal/experiments"
-	"perfiso/internal/obs"
 )
 
 // UnitRunner executes individual manifest units. It is the shared
@@ -83,10 +82,10 @@ func (r *UnitRunner) RunUnit(id string) (PartialCell, error) {
 }
 
 // RunUnits executes ids on a pool of workers goroutines, expensive
-// units first, and returns their cells in ids order. onCell, when set,
-// is called (serialized) after each unit completes. tracer, when set,
-// receives one span per unit labeled with worker.
-func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment, cell string, elapsed time.Duration), tracer *obs.TraceBuffer, worker string) ([]PartialCell, error) {
+// units first, and returns their cells in ids order, each stamped with
+// worker and its start offset from this call. onCell, when set, is
+// called (serialized) after each unit completes.
+func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment, cell string, elapsed time.Duration), worker string) ([]PartialCell, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -95,7 +94,7 @@ func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment,
 		err error
 	}
 	var mu sync.Mutex
-	base := time.Now() //perfiso:allow walltime span timestamps are observability only
+	base := time.Now() //perfiso:allow walltime cell start offsets feed timing.json only
 	// Only Cost matters to the launch order.
 	costs := make([]experiments.Cell, len(ids))
 	for i, id := range ids {
@@ -106,21 +105,13 @@ func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment,
 		costs[i] = experiments.Cell{Name: id, Cost: u.Cost}
 	}
 	runUnit := func(id string) outcome {
-		start := time.Now() //perfiso:allow walltime span timestamps are observability only
+		start := time.Now() //perfiso:allow walltime cell start offsets feed timing.json only
 		pc, err := r.RunUnit(id)
-		if err == nil && tracer != nil {
-			tracer.Add(obs.Span{
-				Experiment: pc.Experiment,
-				Cell:       pc.Cell,
-				Unit:       id,
-				Worker:     worker,
-				StartMs:    float64(start.Sub(base)) / 1e6,
-				DurationMs: time.Since(start).Seconds() * 1e3, //perfiso:allow walltime span timestamps are observability only
-			})
-		}
+		pc.Worker = worker
+		pc.StartSeconds = start.Sub(base).Seconds()
 		if err == nil && onCell != nil {
 			mu.Lock()
-			onCell(pc.Experiment, pc.Cell, time.Since(start)) //perfiso:allow walltime span timestamps are observability only
+			onCell(pc.Experiment, pc.Cell, time.Since(start)) //perfiso:allow walltime cell start offsets feed timing.json only
 			mu.Unlock()
 		}
 		return outcome{pc, err}
