@@ -20,9 +20,9 @@ import (
 
 	"perfiso/internal/core"
 	"perfiso/internal/cpumodel"
-	"perfiso/internal/indexserve"
 	"perfiso/internal/node"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
 )
@@ -140,17 +140,20 @@ type IndexMachine struct {
 	// machine acted as MLA.
 	MLALatency *stats.Histogram
 
-	pending map[int]*pendingMLA
-	down    bool
+	down bool
 }
 
 // Down reports whether the machine is marked failed.
 func (m *IndexMachine) Down() bool { return m.down }
 
+// pendingMLA is one routed query while its MLA waits for the row's
+// column responses.
 type pendingMLA struct {
 	remaining int
-	started   sim.Time
-	onDone    func()
+	tla       *TLA
+	mla       *IndexMachine
+	tlaStart  sim.Time
+	mlaStart  sim.Time
 }
 
 // Cluster is the assembled deployment.
@@ -177,6 +180,11 @@ type Cluster struct {
 	OnMachineDown    func(*IndexMachine)
 	OnMachineRestore func(*IndexMachine)
 
+	// pending holds the routed queries still waiting at their MLA,
+	// keyed by the cluster-unique query id every column of the row
+	// serves the query under.
+	pending map[int]*pendingMLA
+
 	rng      *sim.RNG
 	nextTLA  int
 	nextRow  int
@@ -202,6 +210,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		MLALatency:    stats.NewHistogram(),
 		TLALatency:    stats.NewHistogram(),
 		nextMLA:       make([]int, cfg.Rows),
+		pending:       map[int]*pendingMLA{},
 	}
 	for i := 0; i < cfg.TLAs; i++ {
 		c.TLAs = append(c.TLAs, &TLA{Latency: stats.NewHistogram()})
@@ -217,12 +226,12 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 				Column:     col,
 				Node:       n,
 				MLALatency: stats.NewHistogram(),
-				pending:    map[int]*pendingMLA{},
 			}
 			// Route every local response into the cluster-wide server
-			// histogram and the per-request MLA bookkeeping.
-			n.Server.OnResponse = func(resp indexserve.Response) {
-				c.ServerLatency.AddDuration(resp.Latency)
+			// histogram and back to the query's MLA.
+			n.Server.OnResponse = func(r simtrace.QueryRecord) {
+				c.ServerLatency.AddDuration(r.Latency)
+				c.columnDone(m, r.ID)
 			}
 			if cfg.HDFS != nil {
 				hcfg := *cfg.HDFS
@@ -365,55 +374,59 @@ func (c *Cluster) Submit() {
 
 	// TLA → MLA hop.
 	c.Eng.After(c.hop(), func() {
-		mlaStart := c.Eng.Now()
-		p := &pendingMLA{remaining: c.cfg.Columns, started: mlaStart}
-		mla.pending[qid] = p
-		p.onDone = func() {
-			delete(mla.pending, qid)
-			// Aggregation burst on the MLA machine's own CPU.
-			all := cpumodel.AllCores(mla.Node.CPU.Cores())
-			mla.Node.CPU.Spawn(mla.Node.Server.Proc, c.cfg.MLAAggCost, all, func() {
-				agg := c.Eng.Now().Sub(mlaStart)
-				mla.MLALatency.AddDuration(agg)
-				c.MLALatency.AddDuration(agg)
-				// MLA → TLA hop, then the TLA's own merge.
-				c.Eng.After(c.hop()+c.cfg.TLAAggCost, func() {
-					e2e := c.Eng.Now().Sub(tlaStart)
-					tla.Latency.AddDuration(e2e)
-					c.TLALatency.AddDuration(e2e)
-					c.inFlight--
-					c.Completed++
-				})
-			})
+		c.pending[qid] = &pendingMLA{
+			remaining: c.cfg.Columns,
+			tla:       tla,
+			mla:       mla,
+			tlaStart:  tlaStart,
+			mlaStart:  c.Eng.Now(),
 		}
 		// MLA → columns fan-out. The local column skips the network.
 		for col := 0; col < c.cfg.Columns; col++ {
-			local := col == mlaIdx
 			target := c.Machines[row][col]
-			seed := querySeed(c.cfg.Seed, qid, row, col)
-			deliver := func() {
-				target.Node.Server.SubmitObserved(workload.QuerySpec{ID: qid, Seed: seed},
-					func(indexserve.Response) {
-						// Column response travels back to the MLA.
-						arrive := func() {
-							p.remaining--
-							if p.remaining == 0 {
-								p.onDone()
-							}
-						}
-						if local {
-							arrive()
-						} else {
-							c.Eng.After(c.hop(), arrive)
-						}
-					})
-			}
-			if local {
-				deliver()
+			spec := workload.QuerySpec{ID: qid, Seed: querySeed(c.cfg.Seed, qid, row, col)}
+			if col == mlaIdx {
+				target.Node.Server.Submit(spec)
 			} else {
-				c.Eng.After(c.hop(), deliver)
+				c.Eng.After(c.hop(), func() { target.Node.Server.Submit(spec) })
 			}
 		}
+	})
+}
+
+// columnDone routes machine m's response to query qid back to the
+// query's MLA; the local column skips the network.
+func (c *Cluster) columnDone(m *IndexMachine, qid int) {
+	p := c.pending[qid]
+	if m == p.mla {
+		c.arrive(qid, p)
+	} else {
+		c.Eng.After(c.hop(), func() { c.arrive(qid, p) })
+	}
+}
+
+// arrive counts one column response at the MLA. The last one releases
+// the aggregation burst on the MLA machine's own CPU, then the MLA →
+// TLA hop and the TLA's own merge.
+func (c *Cluster) arrive(qid int, p *pendingMLA) {
+	p.remaining--
+	if p.remaining > 0 {
+		return
+	}
+	delete(c.pending, qid)
+	mla := p.mla
+	all := cpumodel.AllCores(mla.Node.CPU.Cores())
+	mla.Node.CPU.Spawn(mla.Node.Server.Proc, c.cfg.MLAAggCost, all, func() {
+		agg := c.Eng.Now().Sub(p.mlaStart)
+		mla.MLALatency.AddDuration(agg)
+		c.MLALatency.AddDuration(agg)
+		c.Eng.After(c.hop()+c.cfg.TLAAggCost, func() {
+			e2e := c.Eng.Now().Sub(p.tlaStart)
+			p.tla.Latency.AddDuration(e2e)
+			c.TLALatency.AddDuration(e2e)
+			c.inFlight--
+			c.Completed++
+		})
 	})
 }
 

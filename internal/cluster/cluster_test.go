@@ -65,6 +65,42 @@ func TestStandaloneRunCompletesAllQueries(t *testing.T) {
 	}
 }
 
+// TestMLAFanInUnderDrops: with a deadline short enough that column
+// queries are dropped, every routed query must still aggregate at its
+// MLA exactly once — each column's outcome, completed or dropped,
+// reaches the MLA once through the server's single response hook —
+// and no query may be left pending.
+func TestMLAFanInUnderDrops(t *testing.T) {
+	cfg := ScaledConfig(4)
+	cfg.Node.IndexServe.Deadline = 4 * sim.Millisecond
+	c := New(sim.NewEngine(), cfg)
+	const queries = 400
+	c.Run(queries, 0, 2000, 5)
+
+	var completed, dropped, mla uint64
+	c.EachMachine(func(m *IndexMachine) {
+		completed += m.Node.Server.Completed
+		dropped += m.Node.Server.Dropped
+		mla += m.MLALatency.Count()
+	})
+	if dropped == 0 || completed == 0 {
+		t.Fatalf("column outcomes: %d completed, %d dropped; want both > 0", completed, dropped)
+	}
+	if completed+dropped != queries*uint64(cfg.Columns) {
+		t.Fatalf("%d column outcomes for %d queries × %d columns", completed+dropped, queries, cfg.Columns)
+	}
+	if c.Completed != queries {
+		t.Fatalf("completed = %d, want %d", c.Completed, queries)
+	}
+	if tla := c.TLALatency.Count(); tla != c.Completed || c.MLALatency.Count() != c.Completed || mla != c.Completed {
+		t.Fatalf("completed %d, TLA samples %d, MLA samples %d (per-machine sum %d): want all equal",
+			c.Completed, tla, c.MLALatency.Count(), mla)
+	}
+	if len(c.pending) != 0 || c.InFlight() != 0 {
+		t.Fatalf("%d queries still pending at an MLA, %d in flight", len(c.pending), c.InFlight())
+	}
+}
+
 func TestLayeredLatencyOrdering(t *testing.T) {
 	// The slowest column dictates MLA latency, and the TLA adds hops:
 	// P99(server) <= P99(MLA) <= P99(TLA), and e2e median must exceed

@@ -54,20 +54,16 @@ type BlindIsolation struct {
 	// from on-demand updates (§4.1); the updates themselves are counted
 	// by direction on the engine's Tally (BufferGrows, BufferShrinks).
 	Polls uint64
-
-	// strace records the decisions as sim-time instants when a cell
-	// runs under -simtrace (nil otherwise).
-	strace *simtrace.Tracer
 }
 
-// SetSimTracer attaches a sim-domain tracer recording buffer
-// grow/shrink and holdoff decisions as instant events (nil detaches).
-func (b *BlindIsolation) SetSimTracer(tr *simtrace.Tracer) { b.strace = tr }
-
-// traceDecision emits one controller instant on the control track.
+// traceDecision records one controller decision as an instant on the
+// control track of the tracer attached to the machine, if any:
+// buffer grow/shrink and holdoff deferrals.
 func (b *BlindIsolation) traceDecision(name string, cores int) {
-	b.strace.Instant(b.os.Now(), simtrace.TrackControl, name, "controller",
-		simtrace.KV{Key: "allocated", Value: strconv.Itoa(cores)})
+	if tr := b.os.CPU.SimTracer(); tr != nil {
+		tr.Instant(b.os.Now(), simtrace.TrackControl, name, "controller",
+			simtrace.KV{Key: "allocated", Value: strconv.Itoa(cores)})
+	}
 }
 
 // NewBlindIsolation builds the isolator for a secondary job. It does not
@@ -215,9 +211,7 @@ func (b *BlindIsolation) Poll() {
 				b.lastGrow = now
 			} else if b.allocated < b.maxSec {
 				b.os.Engine().Tally.HoldoffDeferrals++
-				if b.strace != nil {
-					b.traceDecision("holdoff-deferred", b.allocated)
-				}
+				b.traceDecision("holdoff-deferred", b.allocated)
 			}
 		}
 	}
@@ -256,7 +250,5 @@ func (b *BlindIsolation) record(cores int) {
 	default:
 		return
 	}
-	if b.strace != nil {
-		b.traceDecision(name, cores)
-	}
+	b.traceDecision(name, cores)
 }

@@ -300,7 +300,8 @@ func TestBlindDisableReconcilesBookkeeping(t *testing.T) {
 
 // TestBlindDisableTracedAndTallied: the kill switch's grant change is
 // a decision like any other, so it must reach the trace as a
-// buffer-grow instant and the cell's engine tally.
+// buffer-grow instant and the cell's engine tally. The tracer is
+// attached to the machine only; the governor reads it from there.
 func TestBlindDisableTracedAndTallied(t *testing.T) {
 	n := newTestNode(t)
 	job := n.os.CreateJob("secondary")
@@ -308,12 +309,20 @@ func TestBlindDisableTracedAndTallied(t *testing.T) {
 	cfg := DefaultConfig()
 	b := NewBlindIsolation(n.os, job, cfg)
 	tr := simtrace.New()
-	b.SetSimTracer(tr)
+	n.os.CPU.SetSimTracer(tr)
 	b.Start(cfg.PollInterval)
 	n.runFor(1 * sim.Second)
 
 	b.Disable()
-	evs := tr.Events()
+	var evs []simtrace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == simtrace.KindInstant && e.Cat == "controller" {
+			evs = append(evs, e)
+		}
+	}
+	if len(evs) == 0 {
+		t.Fatal("no governor instants reached the machine's tracer")
+	}
 	last := evs[len(evs)-1]
 	if last.Name != "buffer-grow" || len(last.Args) != 1 || last.Args[0].Value != "48" {
 		t.Fatalf("last traced decision after Disable = %s %+v, want buffer-grow allocated=48", last.Name, last.Args)

@@ -301,10 +301,12 @@ func New(eng *sim.Engine, rng *sim.RNG, cfg Config) *Machine {
 // Engine returns the driving event engine.
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
-// SetSimTracer attaches a sim-domain tracer capturing per-core
-// execution slices (nil detaches). Each core becomes one trace track.
-// With no tracer attached the hot path pays a single nil check per
-// scheduling event.
+// SetSimTracer attaches a sim-domain tracer to the machine (nil
+// detaches). It is the one attach point for everything simulated on
+// the machine: the machine itself records per-core execution slices,
+// one trace track per core, and the services and controllers running
+// on it read the tracer through SimTracer. With no tracer attached the
+// hot path pays a single nil check per scheduling event.
 func (m *Machine) SetSimTracer(tr *simtrace.Tracer) {
 	m.trace = tr
 	if tr != nil {
@@ -313,6 +315,10 @@ func (m *Machine) SetSimTracer(tr *simtrace.Tracer) {
 		}
 	}
 }
+
+// SimTracer returns the attached sim-domain tracer, nil when the
+// machine is untraced.
+func (m *Machine) SimTracer() *simtrace.Tracer { return m.trace }
 
 // traceSlice emits the execution slice ending now on core c.
 func (m *Machine) traceSlice(c *core, t *Thread, now sim.Time) {

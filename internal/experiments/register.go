@@ -167,7 +167,11 @@ func DefaultRegistry() *Registry {
 				{"max_p99ms", p.MaxP99ms},
 				{"samples", float64(len(p.Samples))},
 			}}}
-			series := []SeriesRow{{Cell: "production-hour", Tracks: productionSeries(p)}}
+			tracks := loadSeries(len(p.Samples), func(i int) (sim.Time, float64, float64, float64, float64) {
+				step := p.Samples[i]
+				return step.At, step.QPS, step.P99ms, step.CPUUsedPct, step.SecondaryPct
+			})
+			series := []SeriesRow{{Cell: "production-hour", Tracks: tracks}}
 			return p, Report{Table: Fig10Table(p, 600), Rows: rows, Series: series}
 		},
 	})
@@ -226,7 +230,11 @@ func DefaultRegistry() *Registry {
 				{"max_p99ms", t.MaxP99ms},
 				{"windows", float64(len(t.Samples))},
 			}}}
-			series := []SeriesRow{{Cell: "diurnal", Tracks: t.SeriesTracks()}}
+			tracks := loadSeries(len(t.Samples), func(i int) (sim.Time, float64, float64, float64, float64) {
+				w := t.Samples[i]
+				return w.At, w.QPS, w.P99ms, w.CPUUsedPct, w.SecPct
+			})
+			series := []SeriesRow{{Cell: "diurnal", Tracks: tracks}}
 			return t, Report{Table: t.Table(5), Rows: rows, Series: series}
 		},
 	})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"perfiso/internal/indexserve"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
 	"perfiso/internal/sim"
@@ -140,19 +139,12 @@ func runSingle(eng *sim.Engine, tr *simtrace.Tracer, qps float64, bully BullyMod
 			panic(fmt.Sprintf("experiments: installing %s: %v", pol.Name(), err))
 		}
 	}
+	// The machine carries the tracer for everything simulated on it.
+	// Attaching after Install keeps the governor's install-time
+	// decisions untraced.
 	if tr != nil {
 		n.CPU.SetSimTracer(tr)
-		n.Server.SetSimTracer(tr)
-		if blind, ok := pol.(*isolation.Blind); ok {
-			blind.Governor().SetSimTracer(tr)
-		}
 	}
-
-	// Tail forensics: collect the critical-path decomposition of every
-	// finished query; the warmup reset below truncates the unreported
-	// prefix so the blame table covers exactly the measured window.
-	var records []simtrace.QueryRecord
-	n.Server.OnRecord = func(r simtrace.QueryRecord) { records = append(records, r) }
 
 	trace := workload.GenerateTrace(workload.TraceConfig{
 		Queries: scale.Queries,
@@ -160,6 +152,7 @@ func runSingle(eng *sim.Engine, tr *simtrace.Tracer, qps float64, bully BullyMod
 		Seed:    scale.Seed,
 	})
 	var bullyBase float64
+	var records []simtrace.QueryRecord
 	if scale.Warmup > 0 && scale.Warmup < len(trace) {
 		eng.At(trace[scale.Warmup].Arrival, func() {
 			n.ResetMeasurement()
@@ -180,12 +173,13 @@ func runSingle(eng *sim.Engine, tr *simtrace.Tracer, qps float64, bully BullyMod
 	// scalar metrics are.
 	smp := newSampler(eng, last.Sub(0))
 	winLat := stats.NewWindowedLatency(smp.window)
-	prevResponse := n.Server.OnResponse
-	n.Server.OnResponse = func(r indexserve.Response) {
+	// Every finished query feeds the windowed tail and the tail
+	// forensics: its critical-path record is kept, and the warmup reset
+	// above truncates the unreported prefix so the blame table covers
+	// exactly the measured window.
+	n.Server.OnResponse = func(r simtrace.QueryRecord) {
+		records = append(records, r)
 		winLat.Add(eng.Now(), r.Latency)
-		if prevResponse != nil {
-			prevResponse(r)
-		}
 	}
 	smp.probe("p99_ms", "ms", func(w int) float64 {
 		if h := winLat.Window(w); h != nil && h.Count() > 0 {

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"perfiso/internal/cluster"
-	"perfiso/internal/sim"
-)
+import "perfiso/internal/sim"
 
 // SeriesWindows is the per-cell sample budget of the time-series
 // capture: every sampled cell carries about this many points per
@@ -134,46 +131,30 @@ func downsample(points []SeriesPoint) []SeriesPoint {
 	return out
 }
 
-// SeriesTracks projects the timeline's native windows into series
-// tracks for the artifacts and figures.
-func (r TimelineResult) SeriesTracks() []SeriesTrack {
-	qps := make([]SeriesPoint, len(r.Samples))
-	p99 := make([]SeriesPoint, len(r.Samples))
-	used := make([]SeriesPoint, len(r.Samples))
-	sec := make([]SeriesPoint, len(r.Samples))
-	for i, s := range r.Samples {
-		t := s.At.Seconds()
-		qps[i] = SeriesPoint{T: t, V: s.QPS}
-		p99[i] = SeriesPoint{T: t, V: s.P99ms}
-		used[i] = SeriesPoint{T: t, V: s.CPUUsedPct}
-		sec[i] = SeriesPoint{T: t, V: s.SecPct}
+// loadSeries projects n native samples of a load curve (the DES
+// timeline's windows or the Fig. 10 fluid model's steps) into the
+// four load tracks the artifacts and figures carry; sample(i) returns
+// the i-th sample's time and its qps, p99 (ms), used-CPU and
+// secondary-CPU percentages.
+func loadSeries(n int, sample func(i int) (at sim.Time, qps, p99ms, usedPct, secPct float64)) []SeriesTrack {
+	tracks := []SeriesTrack{
+		{Name: "qps", Unit: "qps"},
+		{Name: "p99_ms", Unit: "ms"},
+		{Name: "cpu_used_pct", Unit: "%"},
+		{Name: "sec_pct", Unit: "%"},
 	}
-	return []SeriesTrack{
-		{Name: "qps", Unit: "qps", Points: downsample(qps)},
-		{Name: "p99_ms", Unit: "ms", Points: downsample(p99)},
-		{Name: "cpu_used_pct", Unit: "%", Points: downsample(used)},
-		{Name: "sec_pct", Unit: "%", Points: downsample(sec)},
+	for k := range tracks {
+		tracks[k].Points = make([]SeriesPoint, n)
 	}
-}
-
-// productionSeries projects the Fig. 10 fluid-model samples into
-// series tracks.
-func productionSeries(p cluster.ProductionResult) []SeriesTrack {
-	qps := make([]SeriesPoint, len(p.Samples))
-	p99 := make([]SeriesPoint, len(p.Samples))
-	used := make([]SeriesPoint, len(p.Samples))
-	sec := make([]SeriesPoint, len(p.Samples))
-	for i, s := range p.Samples {
-		t := s.At.Seconds()
-		qps[i] = SeriesPoint{T: t, V: s.QPS}
-		p99[i] = SeriesPoint{T: t, V: s.P99ms}
-		used[i] = SeriesPoint{T: t, V: s.CPUUsedPct}
-		sec[i] = SeriesPoint{T: t, V: s.SecondaryPct}
+	for i := 0; i < n; i++ {
+		at, qps, p99, used, sec := sample(i)
+		t := at.Seconds()
+		for k, v := range [...]float64{qps, p99, used, sec} {
+			tracks[k].Points[i] = SeriesPoint{T: t, V: v}
+		}
 	}
-	return []SeriesTrack{
-		{Name: "qps", Unit: "qps", Points: downsample(qps)},
-		{Name: "p99_ms", Unit: "ms", Points: downsample(p99)},
-		{Name: "cpu_used_pct", Unit: "%", Points: downsample(used)},
-		{Name: "sec_pct", Unit: "%", Points: downsample(sec)},
+	for k := range tracks {
+		tracks[k].Points = downsample(tracks[k].Points)
 	}
+	return tracks
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -110,5 +111,37 @@ func TestSimTraceStreamsInCostOrder(t *testing.T) {
 		if strings.HasSuffix(line, " 0") || strings.Contains(line, "quiet") || strings.Contains(line, "shared-too") {
 			t.Fatalf("unexpected delivery %q", line)
 		}
+	}
+}
+
+// TestSimTraceOnlySingleMachineCells: the tracer reaches a cell's
+// simulation only through the machine runSingle attaches it to, so
+// with OnSimTrace set the cells that build their own machines — the
+// DES timeline and the Fig. 9 cluster — must deliver no trace.
+func TestSimTraceOnlySingleMachineCells(t *testing.T) {
+	spec := TestSpec()
+	spec.Timeline.Duration = 2 * sim.Second
+	spec.Cluster = Fig9Scale{Columns: 2, Queries: 200, Warmup: 50, RatePerRow: 1000, Seed: 2017}
+	var cells []string
+	var traced []string
+	_, err := DefaultRegistry().Run(RunOptions{
+		Spec:    spec,
+		Workers: 1,
+		Filter:  regexp.MustCompile(`^(timeline|fig9)$`),
+		OnCell: func(exp, cell string, _ time.Duration) {
+			cells = append(cells, exp+"/"+cell)
+		},
+		OnSimTrace: func(exp, cell string, tr *simtrace.Tracer) {
+			traced = append(traced, fmt.Sprintf("%s/%s %d", exp, cell, tr.Len()))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 4 {
+		t.Fatalf("ran cells %q, want fig9's three and the timeline", cells)
+	}
+	if len(traced) != 0 {
+		t.Fatalf("cells delivered traces: %q", traced)
 	}
 }

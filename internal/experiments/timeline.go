@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"perfiso/internal/indexserve"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
 	"perfiso/internal/sim"
@@ -102,7 +102,7 @@ func runTimeline(eng *sim.Engine, cfg TimelineConfig) TimelineResult {
 
 	lat := stats.NewWindowedLatency(cfg.Window)
 	arrivals := make([]int, int(cfg.Duration/cfg.Window)+1)
-	n.Server.OnResponse = func(r indexserve.Response) {
+	n.Server.OnResponse = func(r simtrace.QueryRecord) {
 		lat.Add(eng.Now(), r.Latency)
 	}
 	for _, q := range trace {

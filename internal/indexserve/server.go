@@ -90,13 +90,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Response describes one finished (or dropped) query.
-type Response struct {
-	ID      int
-	Latency sim.Duration
-	Dropped bool
-}
-
 // Server is one IndexServe instance bound to a machine.
 type Server struct {
 	cfg Config
@@ -114,23 +107,18 @@ type Server struct {
 	Latency   *stats.Histogram
 	Completed uint64
 	Dropped   uint64
-	// OnResponse, when set, observes every query outcome (the cluster
-	// aggregators hook in here).
-	OnResponse func(Response)
-	// OnRecord, when set, receives the critical-path forensic record of
-	// every finished query (completed or dropped). Like OnResponse it
-	// is a pure observer: the record is derived from bookkeeping the
-	// server maintains anyway, so installing it changes no outcome.
-	OnRecord func(simtrace.QueryRecord)
+	// OnResponse, when set, is called exactly once for every finished
+	// query, completed or dropped, with its ID, latency (the deadline
+	// for drops) and critical-path forensic record. It is the server's
+	// only outcome channel: cells collect forensics and windowed tails
+	// here, and the cluster aggregators do their MLA fan-in. It is a
+	// pure observer: the record is derived from bookkeeping the server
+	// maintains anyway, so installing it changes no outcome.
+	OnResponse func(simtrace.QueryRecord)
 
 	nic      *netmodel.NIC
-	trace    *simtrace.Tracer
 	inFlight int
 }
-
-// SetSimTracer attaches a sim-domain tracer capturing query lifecycle
-// spans and milestones (nil detaches).
-func (s *Server) SetSimTracer(tr *simtrace.Tracer) { s.trace = tr }
 
 // AttachNIC routes completed-query replies through the machine's
 // egress NIC at high priority. Response transmission is asynchronous
@@ -145,7 +133,6 @@ type query struct {
 	outstanding int
 	done        bool
 	threads     []*cpumodel.Thread
-	observer    func(Response)
 	// deadline and spec are cancelled at finish so a completed query
 	// leaves nothing behind in the event heap; both events were pure
 	// no-ops once done was set, so cancelling them changes no outcome.
@@ -207,17 +194,11 @@ func (s *Server) DropRate() float64 {
 
 // Submit starts processing a query now. The spec's seed makes its
 // demand draw reproducible across runs and policies.
-func (s *Server) Submit(spec workload.QuerySpec) { s.SubmitObserved(spec, nil) }
-
-// SubmitObserved processes a query and additionally delivers its
-// outcome to fn; the cluster MLAs use this to collect fan-out
-// responses without sharing the server-wide OnResponse hook.
-func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
+func (s *Server) Submit(spec workload.QuerySpec) {
 	q := &query{
 		id:       spec.ID,
 		arrival:  s.eng.Now(),
 		rng:      sim.SeededRNG(spec.Seed),
-		observer: fn,
 		critical: -1,
 	}
 	s.inFlight++
@@ -226,8 +207,8 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 	q.outstanding = k
 	q.workers = make([]qworker, k)
 	all := cpumodel.AllCores(s.cpu.Cores())
-	if s.trace != nil {
-		s.trace.Begin(q.arrival, q.id, "query", "query",
+	if tr := s.cpu.SimTracer(); tr != nil {
+		tr.Begin(q.arrival, q.id, "query", "query",
 			simtrace.KV{Key: "workers", Value: strconv.Itoa(k)})
 	}
 
@@ -277,8 +258,8 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 			if s.cfg.SpecInFlightCap > 0 && s.inFlight > s.cfg.SpecInFlightCap {
 				return
 			}
-			if s.trace != nil {
-				s.trace.Instant(s.eng.Now(), simtrace.TrackControl, "spec-checkpoint", "query",
+			if tr := s.cpu.SimTracer(); tr != nil {
+				tr.Instant(s.eng.Now(), simtrace.TrackControl, "spec-checkpoint", "query",
 					simtrace.KV{Key: "query", Value: strconv.Itoa(q.id)})
 			}
 			for i := 0; i < s.cfg.SpecWorkers; i++ {
@@ -363,24 +344,17 @@ func (s *Server) finish(q *query, dropped bool) {
 			Bytes: s.cfg.ResponseBytes,
 		})
 	}
-	if s.OnRecord != nil {
-		s.OnRecord(s.forensics(q, latency, dropped))
-	}
-	if s.trace != nil {
+	if tr := s.cpu.SimTracer(); tr != nil {
 		drop := "false"
 		if dropped {
 			drop = "true"
 		}
-		s.trace.End(s.eng.Now(), q.id, "query", "query",
+		tr.End(s.eng.Now(), q.id, "query", "query",
 			simtrace.KV{Key: "dropped", Value: drop},
 			simtrace.KV{Key: "latency_us", Value: strconv.FormatInt(int64(latency)/1000, 10)})
 	}
-	resp := Response{ID: q.id, Latency: latency, Dropped: dropped}
 	if s.OnResponse != nil {
-		s.OnResponse(resp)
-	}
-	if q.observer != nil {
-		q.observer(resp)
+		s.OnResponse(s.forensics(q, latency, dropped))
 	}
 }
 

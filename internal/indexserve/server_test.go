@@ -213,26 +213,49 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
+// TestOnResponseObserved checks the outcome hook and the
+// tail-forensics contract it carries: every finished query reaches the
+// hook exactly once, with a positive latency, and its record's named
+// causes plus residual reconstruct that latency exactly, with no
+// negative component.
 func TestOnResponseObserved(t *testing.T) {
-	eng, _, s := newServer(t)
-	var responses int
+	eng, m, s := newServer(t)
+	var recs []simtrace.QueryRecord
+	s.OnResponse = func(r simtrace.QueryRecord) { recs = append(recs, r) }
+	replay(eng, s, 5000, 4000, 7)
+	if len(recs) != 5000 {
+		t.Fatalf("observed %d responses, want 5000", len(recs))
+	}
+	if want := int(s.Completed + s.Dropped); len(recs) != want {
+		t.Fatalf("%d records for %d finished queries", len(recs), want)
+	}
+	seen := map[int]bool{}
 	var dropped int
-	s.OnResponse = func(r Response) {
-		responses++
+	for _, r := range recs {
+		if seen[r.ID] {
+			t.Fatalf("query %d reached the hook twice", r.ID)
+		}
+		seen[r.ID] = true
 		if r.Dropped {
 			dropped++
 		}
 		if r.Latency <= 0 {
 			t.Errorf("response %d has non-positive latency %v", r.ID, r.Latency)
 		}
-	}
-	replay(eng, s, 1000, 2000, 77)
-	if responses != 1000 {
-		t.Fatalf("observed %d responses, want 1000", responses)
+		sum := r.Attributed() + r.Other
+		if sum != r.Latency {
+			t.Fatalf("query %d: components sum to %v, latency %v", r.ID, sum, r.Latency)
+		}
+		for _, c := range simtrace.Causes {
+			if r.Cause(c) < 0 {
+				t.Fatalf("query %d: negative %s component %v", r.ID, c, r.Cause(c))
+			}
+		}
 	}
 	if uint64(dropped) != s.Dropped {
 		t.Fatalf("observer drop count %d != server %d", dropped, s.Dropped)
 	}
+	m.CheckInvariants()
 }
 
 // TestLatencyConservationProperty: for any short trace, every submitted
@@ -283,54 +306,38 @@ func TestPrimaryClassAccounting(t *testing.T) {
 	}
 }
 
-// TestForensicRecordsPartitionLatency checks the tail-forensics
-// contract: every finished query yields exactly one record whose named
-// causes plus residual reconstruct the latency exactly, with no
-// negative component.
-func TestForensicRecordsPartitionLatency(t *testing.T) {
-	eng, m, s := newServer(t)
-	var recs []simtrace.QueryRecord
-	s.OnRecord = func(r simtrace.QueryRecord) { recs = append(recs, r) }
-	replay(eng, s, 5000, 4000, 7)
-	if want := int(s.Completed + s.Dropped); len(recs) != want {
-		t.Fatalf("%d records for %d finished queries", len(recs), want)
-	}
-	for _, r := range recs {
-		sum := r.Attributed() + r.Other
-		if sum != r.Latency {
-			t.Fatalf("query %d: components sum to %v, latency %v", r.ID, sum, r.Latency)
-		}
-		for _, c := range simtrace.Causes {
-			if r.Cause(c) < 0 {
-				t.Fatalf("query %d: negative %s component %v", r.ID, c, r.Cause(c))
-			}
-		}
-	}
-	m.CheckInvariants()
-}
-
-// TestSimTraceQuerySpans checks that with a tracer attached every
-// finished query opens and closes exactly one async span, and the
-// emitted Chrome JSON validates.
+// TestSimTraceQuerySpans checks that a tracer attached to the machine
+// alone reaches the server: every finished query opens and closes
+// exactly one async span, the machine's core slices and the server's
+// spec-checkpoint instants land in the same capture, and the emitted
+// Chrome JSON validates.
 func TestSimTraceQuerySpans(t *testing.T) {
 	eng, m, s := newServer(t)
 	tr := simtrace.New()
 	m.SetSimTracer(tr)
-	s.SetSimTracer(tr)
+	if m.SimTracer() != tr {
+		t.Fatal("machine does not report the attached tracer")
+	}
 	replay(eng, s, 2000, 4000, 11)
 	finished := int(s.Completed + s.Dropped)
 	begins := map[int]int{}
 	ends := map[int]int{}
+	var slices, checkpoints int
 	for _, e := range tr.Events() {
-		if e.Name != "query" {
-			continue
-		}
-		switch e.Kind {
-		case simtrace.KindBegin:
+		switch {
+		case e.Kind == simtrace.KindSlice:
+			slices++
+		case e.Kind == simtrace.KindInstant && e.Name == "spec-checkpoint":
+			checkpoints++
+		case e.Name != "query":
+		case e.Kind == simtrace.KindBegin:
 			begins[e.ID]++
-		case simtrace.KindEnd:
+		case e.Kind == simtrace.KindEnd:
 			ends[e.ID]++
 		}
+	}
+	if slices == 0 || checkpoints == 0 {
+		t.Fatalf("captured %d core slices and %d spec-checkpoint instants, want both > 0", slices, checkpoints)
 	}
 	if len(ends) != finished {
 		t.Fatalf("%d ended spans for %d finished queries", len(ends), finished)

@@ -19,16 +19,21 @@
 //     query id, from arrival to completion or deadline drop.
 //   - Instants ("i"): blind-isolation decisions — buffer grow/shrink,
 //     including the kill switch's jump to the full machine, and
-//     holdoff deferrals — and query milestones such as
-//     speculative-retry checkpoints and worker starts.
+//     holdoff deferrals — and the query milestone of a
+//     speculative-retry (spec-checkpoint) firing.
 //   - Track metadata: human-readable names for the core tracks.
 //
 // Event emission is nil-gated: every Tracer method is safe on a nil
-// receiver, and instrumented packages keep a plain pointer field that
-// stays nil unless tracing was requested, so the tracing-off hot path
-// pays one predictable branch. The harness hands the tracer to a cell
-// alongside its engine (experiments.Cell.Run); cells that do not
-// support tracing ignore it.
+// receiver, so the tracing-off hot path pays one predictable branch.
+// The simulated machine carries the tracer: cpumodel.Machine.SetSimTracer
+// is the only attach point, the machine records its core slices, and
+// everything running on it — the IndexServe server's query spans and
+// milestones, the blind-isolation governor's decisions — reads the
+// tracer back through Machine.SimTracer, which is nil unless tracing
+// was requested. The harness hands the tracer to a cell alongside its
+// engine (experiments.Cell.Run); the single-machine cells attach it
+// to their machine after installing the isolation policy, and cells
+// that do not support tracing ignore it.
 //
 // # Attribution categories
 //

@@ -60,9 +60,6 @@ type Tracer struct {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Enabled reports whether events are being captured.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // NameTrack records a human-readable name for a track, exported as
 // thread-name metadata. Later names for the same id win.
 func (t *Tracer) NameTrack(id int, name string) {
