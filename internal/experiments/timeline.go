@@ -5,10 +5,10 @@ import (
 	"math"
 	"strings"
 
-	"perfiso/internal/simtrace"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
 	"perfiso/internal/sim"
+	"perfiso/internal/simtrace"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
 )

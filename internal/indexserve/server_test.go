@@ -329,10 +329,9 @@ func TestSimTraceQuerySpans(t *testing.T) {
 			slices++
 		case e.Kind == simtrace.KindInstant && e.Name == "spec-checkpoint":
 			checkpoints++
-		case e.Name != "query":
-		case e.Kind == simtrace.KindBegin:
+		case e.Name == "query" && e.Kind == simtrace.KindBegin:
 			begins[e.ID]++
-		case e.Kind == simtrace.KindEnd:
+		case e.Name == "query" && e.Kind == simtrace.KindEnd:
 			ends[e.ID]++
 		}
 	}
