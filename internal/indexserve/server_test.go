@@ -213,25 +213,13 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-// TestOnResponseObserved checks the outcome hook and the
-// tail-forensics contract it carries: every finished query reaches the
-// hook exactly once, with a positive latency, and its record's named
-// causes plus residual reconstruct that latency exactly, with no
-// negative component.
+// TestOnResponseObserved checks the outcome hook: every finished query,
+// completed or dropped, reaches it exactly once with a positive latency.
 func TestOnResponseObserved(t *testing.T) {
-	eng, m, s := newServer(t)
-	var recs []simtrace.QueryRecord
-	s.OnResponse = func(r simtrace.QueryRecord) { recs = append(recs, r) }
-	replay(eng, s, 5000, 4000, 7)
-	if len(recs) != 5000 {
-		t.Fatalf("observed %d responses, want 5000", len(recs))
-	}
-	if want := int(s.Completed + s.Dropped); len(recs) != want {
-		t.Fatalf("%d records for %d finished queries", len(recs), want)
-	}
+	eng, _, s := newServer(t)
 	seen := map[int]bool{}
 	var dropped int
-	for _, r := range recs {
+	s.OnResponse = func(r simtrace.QueryRecord) {
 		if seen[r.ID] {
 			t.Fatalf("query %d reached the hook twice", r.ID)
 		}
@@ -242,20 +230,14 @@ func TestOnResponseObserved(t *testing.T) {
 		if r.Latency <= 0 {
 			t.Errorf("response %d has non-positive latency %v", r.ID, r.Latency)
 		}
-		sum := r.Attributed() + r.Other
-		if sum != r.Latency {
-			t.Fatalf("query %d: components sum to %v, latency %v", r.ID, sum, r.Latency)
-		}
-		for _, c := range simtrace.Causes {
-			if r.Cause(c) < 0 {
-				t.Fatalf("query %d: negative %s component %v", r.ID, c, r.Cause(c))
-			}
-		}
+	}
+	replay(eng, s, 1000, 2000, 77)
+	if len(seen) != 1000 {
+		t.Fatalf("observed %d responses, want 1000", len(seen))
 	}
 	if uint64(dropped) != s.Dropped {
 		t.Fatalf("observer drop count %d != server %d", dropped, s.Dropped)
 	}
-	m.CheckInvariants()
 }
 
 // TestLatencyConservationProperty: for any short trace, every submitted
@@ -304,6 +286,32 @@ func TestPrimaryClassAccounting(t *testing.T) {
 	if total < 99.5 || total > 100.5 {
 		t.Fatalf("breakdown sums to %.2f%%, want 100%%", total)
 	}
+}
+
+// TestForensicRecordsPartitionLatency checks the tail-forensics
+// contract: every finished query yields exactly one record whose named
+// causes plus residual reconstruct the latency exactly, with no
+// negative component.
+func TestForensicRecordsPartitionLatency(t *testing.T) {
+	eng, m, s := newServer(t)
+	var recs []simtrace.QueryRecord
+	s.OnResponse = func(r simtrace.QueryRecord) { recs = append(recs, r) }
+	replay(eng, s, 5000, 4000, 7)
+	if want := int(s.Completed + s.Dropped); len(recs) != want {
+		t.Fatalf("%d records for %d finished queries", len(recs), want)
+	}
+	for _, r := range recs {
+		sum := r.Attributed() + r.Other
+		if sum != r.Latency {
+			t.Fatalf("query %d: components sum to %v, latency %v", r.ID, sum, r.Latency)
+		}
+		for _, c := range simtrace.Causes {
+			if r.Cause(c) < 0 {
+				t.Fatalf("query %d: negative %s component %v", r.ID, c, r.Cause(c))
+			}
+		}
+	}
+	m.CheckInvariants()
 }
 
 // TestSimTraceQuerySpans checks that a tracer attached to the machine
